@@ -10,7 +10,6 @@ import numpy as np
 from gapcert import (
     CaseParams,
     DiagonalSpec,
-    HermitianMatrix,
     build_case,
     certify,
     certify_block,
@@ -51,11 +50,7 @@ def certify_blocky(params):
         if len(block.basis_indices) >= 2:
             h_i_block, diag = block_pair(instance, block.k)
             profile = sweep_pair(
-                h_i_block,
-                HermitianMatrix(np.diag(diag).astype(complex)),
-                grid_points=501,
-                m_levels=2,
-                keep_vectors=False,
+                h_i_block, diag, grid_points=501, m_levels=2, keep_vectors=False
             )
             line += (
                 f", block min_gap {profile.min_gap.value:.4f}"

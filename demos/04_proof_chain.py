@@ -32,9 +32,7 @@ def main():
     report = certify(instance)
     assert report.is_certified
 
-    aux = auxiliary_f(
-        instance.h_i_matrix(), instance.h_p_matrix(), report.gauge
-    )
+    aux = auxiliary_f(instance.h_i_matrix(), instance.h_p, report.gauge)
     print(f"shifts: c1 = {aux.c1}, c2 = {aux.c2}")
     print("F(0) has the hypercube hopping pattern plus a positive diagonal:")
     np.set_printoptions(precision=3, suppress=True, linewidth=120)

@@ -9,6 +9,7 @@ locate (or rule out, on the grid) level crossings.
 """
 
 from .paulialg import (
+    MAX_QUBITS,
     DiagonalSpec,
     HermitianMatrix,
     PauliExpression,
@@ -17,6 +18,7 @@ from .paulialg import (
     build_diagonal,
     build_pauli,
     build_projector_complement,
+    diagonal_values,
     interpolate,
     to_matrix,
 )
@@ -94,9 +96,9 @@ from .sweep import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "DiagonalSpec", "HermitianMatrix", "PauliExpression", "PauliString",
-    "ProjectorSpec", "build_diagonal", "build_pauli",
-    "build_projector_complement", "interpolate", "to_matrix",
+    "MAX_QUBITS", "DiagonalSpec", "HermitianMatrix", "PauliExpression",
+    "PauliString", "ProjectorSpec", "build_diagonal", "build_pauli",
+    "build_projector_complement", "diagonal_values", "interpolate", "to_matrix",
     "LINEAR", "InstanceSpec", "ParseError", "ScheduleSpec",
     "parse_instance", "serialize_instance",
     "EigenSystem", "GroundState", "eigensystem", "ground_state", "low_spectrum",

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .certifier import CertificateReport, certify_pair
-from .paulialg import DiagonalSpec, HermitianMatrix, PauliExpression, ProjectorSpec
+from .paulialg import MAX_QUBITS, DiagonalSpec, HermitianMatrix, PauliExpression, ProjectorSpec
 from .specfile import InstanceSpec
 
 FAMILIES = (
@@ -76,8 +76,8 @@ class CaseParams:
             raise ValueError(
                 f"unknown family {self.family!r}; expected one of {FAMILIES}"
             )
-        if self.n_qubits < 1:
-            raise ValueError("n_qubits must be at least 1")
+        if not 1 <= self.n_qubits <= MAX_QUBITS:
+            raise ValueError(f"n_qubits must lie in 1..{MAX_QUBITS}")
         if self.family == "bit_rotation":
             if self.ai is None or len(self.ai) != self.n_qubits:
                 raise ValueError(
@@ -255,5 +255,4 @@ def block_pair(instance: InstanceSpec, k: int) -> tuple[HermitianMatrix, np.ndar
 
 def certify_block(instance: InstanceSpec, k: int) -> CertificateReport:
     """Run the certificate on one fixed-weight block of an instance."""
-    h_i_block, diag = block_pair(instance, k)
-    return certify_pair(h_i_block, HermitianMatrix(np.diag(diag).astype(complex)))
+    return certify_pair(*block_pair(instance, k))

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .paulialg import PATTERN_RTOL, HermitianMatrix, DiagonalSpec, to_matrix
+from .paulialg import HermitianMatrix, diagonal_values
 from .spectral import GroundState, ground_state
 from .specfile import InstanceSpec
 
@@ -158,34 +158,14 @@ def check_condition2(h_i: HermitianMatrix, gauge: PhaseGauge) -> Condition2Resul
     return Condition2Result(passed=not violations, violations=violations)
 
 
-def _require_diagonal(h_p: HermitianMatrix) -> None:
-    entries = h_p.entries
-    scale = 1.0 + float(np.max(np.abs(entries)))
-    off = entries - np.diag(np.diag(entries))
-    worst = float(np.max(np.abs(off)))
-    if worst > PATTERN_RTOL * scale:
-        raise ValueError(
-            f"h_p must be diagonal in the computational basis; found "
-            f"off-diagonal entry of magnitude {worst:.3e}"
-        )
-
-
 def certify_pair(h_i: HermitianMatrix, h_p) -> CertificateReport:
     """Certify an ``(h_i, h_p)`` pair of matching dimension.
 
-    ``h_p`` may be a ``DiagonalSpec``, a diagonal ``HermitianMatrix`` or a
-    plain value array; it only enters through the precondition that it be
-    diagonal, since the certificate does not depend on its values.
+    ``h_p`` may take any form :func:`~gapcert.paulialg.diagonal_values`
+    accepts; it only enters through the precondition that it be diagonal,
+    since the certificate does not depend on its values.
     """
-    if isinstance(h_p, DiagonalSpec):
-        h_p = to_matrix(h_p)
-    elif not isinstance(h_p, HermitianMatrix):
-        h_p = HermitianMatrix(np.asarray(h_p))
-    if h_p.dim != h_i.dim:
-        raise ValueError(
-            f"dimension mismatch: h_i is {h_i.dim}-dimensional, h_p {h_p.dim}"
-        )
-    _require_diagonal(h_p)
+    diagonal_values(h_p, h_i.dim)
 
     gs = ground_state(h_i)
     min_r = float(np.min(np.abs(gs.vector)))
@@ -212,7 +192,7 @@ def certify_pair(h_i: HermitianMatrix, h_p) -> CertificateReport:
 
 def certify(instance: InstanceSpec) -> CertificateReport:
     """Certify a parsed instance (see :func:`certify_pair`)."""
-    return certify_pair(instance.h_i_matrix(), instance.h_p_matrix())
+    return certify_pair(instance.h_i_matrix(), instance.h_p)
 
 
 def render_text(report: CertificateReport) -> str:

@@ -10,18 +10,11 @@ import argparse
 import re
 import sys
 
-from .cases import (
-    FAMILIES,
-    CaseParams,
-    NotWeightSymmetric,
-    build_case,
-    certify_block,
-    weight_blocks,
-)
-from .certifier import certify, render_structured, render_text
-from .paulialg import DiagonalSpec
+from .cases import FAMILIES, CaseParams, build_case, weight_blocks
+from .certifier import certify, certify_pair, render_structured, render_text
+from .paulialg import MAX_QUBITS, DiagonalSpec, diagonal_values
 from .perron import default_chain_grid, render_chain_text, verify_proof_chain
-from .specfile import InstanceSpec, ParseError, parse_instance, serialize_instance
+from .specfile import InstanceSpec, parse_instance, serialize_instance
 from .sweep import (
     CrossingPresent,
     estimate_runtime,
@@ -145,6 +138,8 @@ def _cmd_case(args) -> int:
     n = args.n if args.n is not None else (2 if family == "counterexample" else None)
     if n is None:
         raise _UsageError("--n is required for this family")
+    if n > MAX_QUBITS:  # before --aij expands to all n**2 / 2 pairs
+        raise _UsageError(f"--n {n} exceeds MAX_QUBITS = {MAX_QUBITS}")
     kwargs = {}
     if args.a0 is not None:
         kwargs["a0"] = args.a0
@@ -166,12 +161,13 @@ def _cmd_case(args) -> int:
 def _cmd_blocks(args) -> int:
     instance = _load_instance(args.file)
     blocks = weight_blocks(instance.h_i_matrix(), instance.n_qubits)
+    hp = diagonal_values(instance.h_p, 1 << instance.n_qubits)
     lines = []
     structured = args.format == "structured"
     if structured:
         lines.append(f"blocks.count = {len(blocks)}")
     for block in blocks:
-        verdict = certify_block(instance, block.k).overall
+        verdict = certify_pair(block.block_matrix, hp[list(block.basis_indices)]).overall
         if structured:
             lines.append(f"blocks.{block.k}.dim = {len(block.basis_indices)}")
             lines.append(f"blocks.{block.k}.verdict = {verdict}")
@@ -189,11 +185,7 @@ def _cmd_estimate(args) -> int:
     profile = schedule_sweep(
         instance, grid_points=args.grid, m_levels=args.levels, keep_vectors=True
     )
-    try:
-        estimate = estimate_runtime(instance, profile, target_epsilon=args.eps)
-    except CrossingPresent as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    estimate = estimate_runtime(instance, profile, target_epsilon=args.eps)
     if args.format == "structured":
         text = (
             f"worst_ratio = {estimate.worst_ratio:.17g}\n"
@@ -296,21 +288,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    # ParseError and NotWeightSymmetric are ValueErrors; CrossingPresent is
+    # estimate's refusal of a profile with a closing gap.
     try:
-        args = parser.parse_args(argv)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ParseError, NotWeightSymmetric) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, TypeError, OSError) as exc:
+    except (_UsageError, ValueError, TypeError, OSError, CrossingPresent) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

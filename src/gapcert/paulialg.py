@@ -3,7 +3,8 @@
 Operators are specified either as real-weighted Pauli strings, as an
 explicit diagonal, or as the projector complement ``I - |psi><psi|`` of a
 unit vector, and realized as dense complex matrices in the computational
-basis.
+basis.  A diagonal final operator is held as its vector of values (see
+:func:`diagonal_values`) and densified only on request.
 
 Basis convention: a basis index z is the integer value of the bitstring
 with qubit 0 as the *leftmost* tensor factor, i.e. qubit 0 is the most
@@ -23,6 +24,10 @@ PAULI_AXES = "IXYZ"
 HERMITICITY_RTOL = 1e-12
 # Entries below PATTERN_RTOL * (1 + max |entry|) count as structural zeros.
 PATTERN_RTOL = 1e-12
+# Largest qubit count accepted from outside the program: every operator
+# path is dense, and a complex d x d matrix takes 16 * 4**n bytes, 256 MiB
+# at n = 12.
+MAX_QUBITS = 12
 
 
 @dataclass(frozen=True)
@@ -208,6 +213,43 @@ def build_pauli(expression: PauliExpression) -> HermitianMatrix:
 def build_diagonal(spec: DiagonalSpec) -> HermitianMatrix:
     """Realize a diagonal spec; off-diagonal entries are exactly zero."""
     return HermitianMatrix(np.diag(np.asarray(spec.values, dtype=complex)))
+
+
+def diagonal_values(h_p, dim: int) -> np.ndarray:
+    """A diagonal final operator as the read-only float64 vector of its values.
+
+    ``h_p`` may be a :class:`DiagonalSpec`, a 1-d array of real values, or a
+    :class:`HermitianMatrix` or 2-d array whose off-diagonal entries are
+    structural zeros (below ``PATTERN_RTOL * (1 + max |entry|)``).  This is
+    the one place that decides how a final operator is held.  Raises
+    ``ValueError`` for any other input or unless there are ``dim`` values.
+    """
+    if isinstance(h_p, DiagonalSpec):
+        h_p = h_p.values
+    elif isinstance(h_p, HermitianMatrix) or np.ndim(h_p) == 2:
+        if not isinstance(h_p, HermitianMatrix):
+            h_p = HermitianMatrix(h_p)
+        entries = h_p.entries
+        worst = float(np.max(np.abs(entries - np.diag(np.diag(entries)))))
+        if worst > PATTERN_RTOL * (1.0 + float(np.max(np.abs(entries)))):
+            raise ValueError(
+                f"h_p must be diagonal in the computational basis; found "
+                f"off-diagonal entry of magnitude {worst:.3e}"
+            )
+        h_p = np.diag(entries).real
+    values = np.array(h_p)
+    if values.ndim != 1 or (np.iscomplexobj(values) and np.any(values.imag)):
+        raise ValueError(
+            f"h_p must be a diagonal matrix or a 1-d vector of real diagonal "
+            f"values, got a {values.dtype} array of shape {values.shape}"
+        )
+    values = values.real.astype(float)
+    if values.shape != (dim,):
+        raise ValueError(f"dimension mismatch: h_i is {dim}-dimensional, h_p {values.size}")
+    if not np.all(np.isfinite(values)):
+        raise ValueError("h_p diagonal values must be finite")
+    values.flags.writeable = False
+    return values
 
 
 def build_projector_complement(spec: ProjectorSpec) -> HermitianMatrix:

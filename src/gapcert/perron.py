@@ -26,7 +26,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
 from .certifier import PhaseGauge
-from .paulialg import PATTERN_RTOL, DiagonalSpec, HermitianMatrix, interpolate, to_matrix
+from .paulialg import PATTERN_RTOL, HermitianMatrix, diagonal_values
 from .specfile import InstanceSpec
 from .spectral import degeneracy_tolerance, eigensystem, fix_phase, ground_state
 
@@ -77,21 +77,23 @@ class AuxiliaryF:
 
 
 def auxiliary_f(h_i: HermitianMatrix, h_p, gauge: PhaseGauge) -> AuxiliaryF:
-    """Assemble the convex pieces of F with c1, c2 one above each top eigenvalue."""
-    if isinstance(h_p, DiagonalSpec):
-        h_p = to_matrix(h_p)
-    if h_i.dim != h_p.dim or h_i.dim != gauge.dim:
+    """Assemble the convex pieces of F with c1, c2 one above each top eigenvalue.
+
+    ``h_p`` may take any form :func:`~gapcert.paulialg.diagonal_values`
+    accepts; its top eigenvalue is its largest diagonal value.
+    """
+    hp = diagonal_values(h_p, h_i.dim)
+    if h_i.dim != gauge.dim:
         raise ValueError("h_i, h_p and gauge must share one dimension")
     c1 = float(np.linalg.eigvalsh(h_i.entries)[-1]) + 1.0
-    c2 = float(np.linalg.eigvalsh(h_p.entries)[-1]) + 1.0
+    c2 = float(hp.max()) + 1.0
     rotated = gauge.rotate(h_i).entries
-    eye = np.eye(h_i.dim)
     return AuxiliaryF(
         c1=c1,
         c2=c2,
         gauge=gauge,
-        a1=c1 * eye - rotated,
-        a2=c2 * eye - h_p.entries,
+        a1=c1 * np.eye(h_i.dim) - rotated,
+        a2=np.diag(c2 - hp),
     )
 
 
@@ -309,11 +311,11 @@ def verify_proof_chain_pair(
     primitive with exponent within the Wielandt bound, has a simple
     largest eigenvalue with strictly positive eigenvector, and that this
     eigenvalue mirrors the interpolated ground level through the shift:
-    ``max eig F(s) + e0(H(s)) = (1-s) c1 + s c2``.
+    ``max eig F(s) + e0(H(s)) = (1-s) c1 + s c2``.  ``h_p`` may take any
+    form :func:`~gapcert.paulialg.diagonal_values` accepts.
     """
-    if isinstance(h_p, DiagonalSpec):
-        h_p = to_matrix(h_p)
-    aux = auxiliary_f(h_i, h_p, gauge)
+    hp = diagonal_values(h_p, h_i.dim)
+    aux = auxiliary_f(h_i, hp, gauge)
     if s_samples is None:
         s_samples = default_chain_grid()
     samples = []
@@ -353,7 +355,7 @@ def verify_proof_chain_pair(
             np.min(perron.real) > 0.0 and np.max(np.abs(perron.imag)) <= 1e-9
         )
 
-        e0 = float(np.linalg.eigvalsh(interpolate(h_i, h_p, s).entries)[0])
+        e0 = float(np.linalg.eigvalsh((1.0 - s) * h_i.entries + np.diag(s * hp))[0])
         mirror_defect = abs(float(values[-1]) - (aux.shift(s) - e0))
         mirror_ok = mirror_defect <= MIRROR_TOL
 
@@ -384,9 +386,7 @@ def verify_proof_chain(
     s_samples=None,
 ) -> ProofChainReport:
     """Instance-level wrapper for :func:`verify_proof_chain_pair`."""
-    return verify_proof_chain_pair(
-        instance.h_i_matrix(), instance.h_p_matrix(), gauge, s_samples
-    )
+    return verify_proof_chain_pair(instance.h_i_matrix(), instance.h_p, gauge, s_samples)
 
 
 def render_chain_text(report: ProofChainReport) -> str:

@@ -35,6 +35,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .paulialg import (
+    MAX_QUBITS,
     DiagonalSpec,
     HermitianMatrix,
     PauliExpression,
@@ -279,8 +280,10 @@ def parse_instance(source) -> InstanceSpec:
                     n_qubits = int(token)
                 except ValueError:
                     raise ParseError(f"bad qubit count {token!r}", line_no, col0 + 1) from None
-                if n_qubits < 1:
-                    raise ParseError("qubit count must be at least 1", line_no, col0 + 1)
+                if not 1 <= n_qubits <= MAX_QUBITS:
+                    raise ParseError(
+                        f"qubit count must lie in 1..{MAX_QUBITS}", line_no, col0 + 1
+                    )
                 continue
 
             if section == "Hi":

@@ -23,7 +23,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy.optimize import minimize_scalar
 
-from .paulialg import HermitianMatrix
+from .paulialg import HermitianMatrix, diagonal_values
 from .specfile import LINEAR, InstanceSpec, ScheduleSpec
 from .spectral import low_spectrum
 
@@ -99,13 +99,9 @@ def _schedule_max_slopes(schedule: ScheduleSpec) -> tuple[float, float]:
     )
 
 
-def _spectral_norm(entries: np.ndarray) -> float:
-    return float(np.max(np.abs(np.linalg.eigvalsh(entries))))
-
-
 def sweep_pair(
     h_i: HermitianMatrix,
-    h_p: HermitianMatrix,
+    h_p,
     grid_points: int = 1001,
     m_levels: int | None = None,
     schedule: ScheduleSpec = LINEAR,
@@ -113,14 +109,12 @@ def sweep_pair(
 ) -> GapProfile:
     """Sweep an explicit operator pair (see module docstring).
 
-    ``m_levels`` defaults to 4, clamped to the dimension.
+    ``h_p`` may take any form :func:`~gapcert.paulialg.diagonal_values`
+    accepts.  ``m_levels`` defaults to 4, clamped to the dimension.
     """
     if grid_points < 2:
         raise ValueError("grid needs at least two points")
-    if h_i.dim != h_p.dim:
-        raise ValueError(
-            f"dimension mismatch: h_i is {h_i.dim}-dimensional, h_p {h_p.dim}"
-        )
+    hp = diagonal_values(h_p, h_i.dim)
     d = h_i.dim
     if m_levels is None:
         m_levels = min(4, d)
@@ -130,13 +124,12 @@ def sweep_pair(
     grid = np.linspace(0.0, 1.0 - 1.0 / grid_points, grid_points)
     a, b = schedule.coefficients(grid)
     A = h_i.entries
-    B = h_p.entries
 
     levels = np.empty((grid_points, m_levels))
     vectors = np.empty((grid_points, d, m_levels), dtype=complex) if keep_vectors else None
     for idx in range(grid_points):
         values, vecs = low_spectrum(
-            HermitianMatrix(a[idx] * A + b[idx] * B), m_levels
+            HermitianMatrix(a[idx] * A + np.diag(b[idx] * hp)), m_levels
         )
         levels[idx] = values
         if vectors is not None:
@@ -147,7 +140,7 @@ def sweep_pair(
 
     def gap_at(tau: float) -> float:
         aa, bb = schedule.coefficients(np.array([tau]))
-        w = np.linalg.eigvalsh(aa[0] * A + bb[0] * B)
+        w = np.linalg.eigvalsh(aa[0] * A + np.diag(bb[0] * hp))
         return float(w[1] - w[0])
 
     # Any true closing between grid points leaves a local minimum whose
@@ -155,7 +148,8 @@ def sweep_pair(
     # crossing-refinement pass.  The global minimum is always refined so
     # min_gap does not depend on grid placement.
     slope_a, slope_b = _schedule_max_slopes(schedule)
-    gap_slope = 2.0 * (slope_a * _spectral_norm(A) + slope_b * _spectral_norm(B))
+    norm_a = float(np.max(np.abs(np.linalg.eigvalsh(A))))
+    gap_slope = 2.0 * (slope_a * norm_a + slope_b * float(np.max(np.abs(hp))))
     step = grid[1] - grid[0]
     candidate_cut = max(tolerance, 2.0 * gap_slope * step)
 
@@ -225,14 +219,7 @@ def gap_sweep(
     keep_vectors: bool = True,
 ) -> GapProfile:
     """Sweep the plain convex interpolation ``(1-s) h_i + s h_p``."""
-    return sweep_pair(
-        instance.h_i_matrix(),
-        instance.h_p_matrix(),
-        grid_points=grid_points,
-        m_levels=m_levels,
-        schedule=LINEAR,
-        keep_vectors=keep_vectors,
-    )
+    return schedule_sweep(instance, LINEAR, grid_points, m_levels, keep_vectors)
 
 
 def schedule_sweep(
@@ -251,7 +238,7 @@ def schedule_sweep(
         schedule = instance.schedule
     return sweep_pair(
         instance.h_i_matrix(),
-        instance.h_p_matrix(),
+        instance.h_p,
         grid_points=grid_points,
         m_levels=m_levels,
         schedule=schedule,
@@ -292,7 +279,7 @@ def estimate_runtime(
         raise ValueError("target_epsilon must be positive")
 
     A = instance.h_i_matrix().entries
-    B = instance.h_p_matrix().entries
+    hp = diagonal_values(instance.h_p, A.shape[0])
     grid = profile.grid
     if profile.schedule.kind == "linear":
         da = np.full(grid.size, -1.0)
@@ -306,7 +293,7 @@ def estimate_runtime(
     worst_s = float(grid[0])
     worst_level = 1
     for idx in range(grid.size):
-        dh = da[idx] * A + db[idx] * B
+        dh = da[idx] * A + np.diag(db[idx] * hp)
         v0 = profile.vectors[idx][:, 0]
         overlaps = profile.vectors[idx][:, 1:].conj().T @ (dh @ v0)
         gaps = profile.levels[idx, 1:] - profile.levels[idx, 0]

@@ -63,6 +63,8 @@ def test_params_validation():
         CaseParams("xy_hopping", 2, g=1.0)
     with pytest.raises(ValueError, match="no free coefficients"):
         CaseParams("projector_uniform", 2, ai=(-1.0, -1.0))
+    with pytest.raises(ValueError, match=r"1\.\.12"):
+        CaseParams("projector_uniform", 40)
 
 
 # ---------------------------------------------------------------------------

@@ -29,8 +29,9 @@ from gapcert.paulialg import (
     build_pauli,
     interpolate,
 )
+from gapcert.perron import default_chain_grid, verify_proof_chain_pair
 from gapcert.spectral import ground_state
-from gapcert.sweep import gap_sweep
+from gapcert.sweep import gap_sweep, sweep_pair
 
 
 def pauli(n, pairs):
@@ -148,12 +149,39 @@ def test_hp_forms_accepted_and_validated():
         DiagonalSpec.from_values(1, [0.0, 1.0]),
         HermitianMatrix(np.diag([0.0, 1.0]).astype(complex)),
         np.diag([0.0, 1.0]).astype(complex),
+        np.array([0.0, 1.0]),
     ):
         assert certify_pair(h_i, h_p).is_certified
     with pytest.raises(ValueError, match="diagonal"):
         certify_pair(h_i, np.array([[0.0, 0.5], [0.5, 1.0]], dtype=complex))
     with pytest.raises(ValueError, match="dimension"):
         certify_pair(h_i, DiagonalSpec.from_values(2, [0, 1, 2, 3]))
+    with pytest.raises(ValueError, match="dimension"):
+        certify_pair(h_i, np.array([0.0, 1.0, 2.0]))
+
+
+def test_hp_vector_and_matrix_forms_give_identical_results():
+    rng = np.random.default_rng(20261018)
+    instance = build_case(
+        CaseParams("bit_rotation", 3, ai=(-1.0, -0.6, -0.3)),
+        DiagonalSpec.from_values(3, rng.uniform(0, 10, size=8)),
+    )
+    h_i = instance.h_i_matrix()
+    vector = np.array(instance.h_p.values)
+    gauge = certify(instance).gauge
+    profiles = [
+        sweep_pair(h_i, h_p, grid_points=41, keep_vectors=False)
+        for h_p in (vector, instance.h_p_matrix())
+    ]
+    assert np.array_equal(profiles[0].levels, profiles[1].levels)
+    assert profiles[0].min_gap == profiles[1].min_gap
+    chains = [
+        verify_proof_chain_pair(h_i, h_p, gauge, default_chain_grid(11))
+        for h_p in (vector, instance.h_p_matrix())
+    ]
+    assert chains[0].passed
+    assert (chains[0].c1, chains[0].c2) == (chains[1].c1, chains[1].c2)
+    assert chains[0].samples == chains[1].samples
 
 
 def test_report_consistency_enforced():

@@ -190,6 +190,12 @@ def test_case_usage_errors(run):
     assert code == 1  # family validation surfaces as a CLI error
     assert "a_i < 0" in err
 
+    # over MAX_QUBITS: refused before the 2**n diagonal or the n**2 pairs exist
+    code, _, err = run("case", "bit-rotation", "--n", "40", "--ai", ",".join(["-1"] * 40))
+    assert code == 1 and "MAX_QUBITS" in err
+    code, _, err = run("case", "heisenberg", "--n", "1000000", "--aij", "-1")
+    assert code == 1 and "MAX_QUBITS" in err
+
 
 # ---------------------------------------------------------------------------
 # blocks

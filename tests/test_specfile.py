@@ -5,7 +5,7 @@ import io
 import numpy as np
 import pytest
 
-from gapcert.paulialg import DiagonalSpec, PauliExpression, ProjectorSpec
+from gapcert.paulialg import MAX_QUBITS, DiagonalSpec, PauliExpression, ProjectorSpec
 from gapcert.specfile import (
     LINEAR,
     InstanceSpec,
@@ -129,11 +129,21 @@ def test_error_positions():
         ("qubits = 2\n[Hi]\nterms = 1.0 X\n", 3),  # wrong length
         ("qubits = 2\n[Hi]\nterms = -1.0 XI\n[Hp]\ndiagonal = 0, 1\n", 5),
         ("[Hi]\n", 1),  # section before qubit count
+        # over MAX_QUBITS: rejected before anything of size 2**40 is built
+        ("qubits = 40\n[Hi]\nprojector-uniform\n[Hp]\ncostfn\n", 1),
+        ("qubits = 40\n[Hi]\nterms = none\n[Hp]\ncostfn\n", 1),
     ]
     for text, expected_line in cases:
         with pytest.raises(ParseError) as err:
             parse_instance(text)
         assert err.value.line == expected_line, text
+
+
+def test_qubit_limit_is_inclusive():
+    spec = parse_instance(
+        f"qubits = {MAX_QUBITS}\n[Hi]\nprojector-uniform\n[Hp]\ncostfn\n"
+    )
+    assert len(spec.h_p.values) == 1 << MAX_QUBITS
 
 
 def test_error_column_points_into_csv_payload():
