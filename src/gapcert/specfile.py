@@ -156,7 +156,13 @@ class InstanceSpec:
             raise TypeError("schedule must be a ScheduleSpec")
 
     def h_i_matrix(self) -> HermitianMatrix:
-        return to_matrix(self.h_i)
+        """``h_i`` as a dense matrix, built on the first call and kept: the
+        spec is immutable, so every caller can share one read-only copy."""
+        built = self.__dict__.get("_h_i_matrix")
+        if built is None:
+            built = to_matrix(self.h_i)
+            object.__setattr__(self, "_h_i_matrix", built)
+        return built
 
     def h_p_matrix(self) -> HermitianMatrix:
         return build_diagonal(self.h_p)

@@ -8,11 +8,16 @@ minimum that could hide a closing is refined off-grid by bounded
 minimization, minima below ``1e-8 * (1 + spectral width)`` are reported
 as crossings, and ``min_gap`` always refers to the refined minimum so it
 does not depend on whether the true minimizer lands on a grid point.
+Every solve, at a grid point or inside the refinement, goes through
+:func:`~gapcert.spectral.low_spectrum` and computes only the levels it
+reports.
 
 ``estimate_runtime`` turns a crossing-free profile into the standard
 worst-case adiabatic ratio ``max |<psi_m| dH |psi_0>| / gap_m**2`` over
 the grid and all computed excited levels, and a suggested total time
-``worst_ratio / target_epsilon``.
+``worst_ratio / target_epsilon``.  A degenerate excited level counts as
+one: its numerator is the norm of ``dH |psi_0>`` projected onto the whole
+level, which does not depend on the basis the eigensolver picked in it.
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ from scipy.optimize import minimize_scalar
 
 from .paulialg import HermitianMatrix, diagonal_values
 from .specfile import LINEAR, InstanceSpec, ScheduleSpec
-from .spectral import low_spectrum
+from .spectral import DEGENERACY_RTOL, low_spectrum
 
 # A refined gap minimum below CROSSING_RTOL * (1 + spectral width) is a crossing.
 CROSSING_RTOL = 1e-8
@@ -59,8 +64,8 @@ class GapProfile:
     ``grid`` holds the scaled times, ``levels`` the lowest eigenvalues
     (one row per grid point, ascending), ``gap1`` the first gap,
     ``vectors`` the matching eigenvectors when retained (shape
-    ``(points, d, m)``), and ``schedule`` the coefficient functions the
-    sweep used (linear for plain sweeps).
+    ``(points, d, m)``, real when ``h_i`` is real), and ``schedule`` the
+    coefficient functions the sweep used (linear for plain sweeps).
     """
 
     grid: np.ndarray
@@ -123,14 +128,23 @@ def sweep_pair(
 
     grid = np.linspace(0.0, 1.0 - 1.0 / grid_points, grid_points)
     a, b = schedule.coefficients(grid)
+    # h_i was validated when it was built; every grid operator below is
+    # Hermitian by construction, so none is re-validated.  A real h_i keeps
+    # the whole sweep on the real solver.
     A = h_i.entries
+    if not np.any(A.imag):
+        A = np.ascontiguousarray(A.real)
+    diagonal = np.diag_indices(d)
+
+    def operator_at(aa: float, bb: float) -> np.ndarray:
+        op = aa * A
+        op[diagonal] += bb * hp
+        return op
 
     levels = np.empty((grid_points, m_levels))
-    vectors = np.empty((grid_points, d, m_levels), dtype=complex) if keep_vectors else None
+    vectors = np.empty((grid_points, d, m_levels), dtype=A.dtype) if keep_vectors else None
     for idx in range(grid_points):
-        values, vecs = low_spectrum(
-            HermitianMatrix(a[idx] * A + np.diag(b[idx] * hp)), m_levels
-        )
+        values, vecs = low_spectrum(operator_at(a[idx], b[idx]), m_levels)
         levels[idx] = values
         if vectors is not None:
             vectors[idx] = vecs
@@ -140,7 +154,7 @@ def sweep_pair(
 
     def gap_at(tau: float) -> float:
         aa, bb = schedule.coefficients(np.array([tau]))
-        w = np.linalg.eigvalsh(aa[0] * A + np.diag(bb[0] * hp))
+        w = low_spectrum(operator_at(aa[0], bb[0]), 2)[0]
         return float(w[1] - w[0])
 
     # Any true closing between grid points leaves a local minimum whose
@@ -148,7 +162,11 @@ def sweep_pair(
     # crossing-refinement pass.  The global minimum is always refined so
     # min_gap does not depend on grid placement.
     slope_a, slope_b = _schedule_max_slopes(schedule)
-    norm_a = float(np.max(np.abs(np.linalg.eigvalsh(A))))
+    # |h_i| is the larger of |lowest eigenvalue| of h_i and of -h_i.
+    norm_a = max(
+        abs(float(low_spectrum(sign * A, 1)[0][0]))
+        for sign in (1.0, -1.0)
+    )
     gap_slope = 2.0 * (slope_a * norm_a + slope_b * float(np.max(np.abs(hp))))
     step = grid[1] - grid[0]
     candidate_cut = max(tolerance, 2.0 * gap_slope * step)
@@ -265,6 +283,13 @@ def estimate_runtime(
 ) -> RuntimeEstimate:
     """Worst-case ratio ``|<psi_m| dH |psi_0>| / gap_m**2`` over the grid.
 
+    Computed levels within ``DEGENERACY_RTOL * (1 + spectral width)`` of
+    each other form one level, whose numerator is the norm of the
+    overlaps with all its vectors and whose gap is that of its lowest
+    member; ``worst_level`` names that member.  A level that continues
+    past the highest computed one is summed over its computed members
+    only, so sweep with more levels if the top one is degenerate.
+
     Raises :class:`CrossingPresent` when the profile contains crossings
     (the ratio diverges), and ``ValueError`` when the profile was swept
     without retained eigenvectors.
@@ -280,6 +305,7 @@ def estimate_runtime(
 
     A = instance.h_i_matrix().entries
     hp = diagonal_values(instance.h_p, A.shape[0])
+    tolerance = DEGENERACY_RTOL * (1.0 + profile.spectral_width)
     grid = profile.grid
     if profile.schedule.kind == "linear":
         da = np.full(grid.size, -1.0)
@@ -297,12 +323,14 @@ def estimate_runtime(
         v0 = profile.vectors[idx][:, 0]
         overlaps = profile.vectors[idx][:, 1:].conj().T @ (dh @ v0)
         gaps = profile.levels[idx, 1:] - profile.levels[idx, 0]
-        ratios = np.abs(overlaps) / gaps**2
+        starts = np.flatnonzero(np.diff(gaps, prepend=-np.inf) > tolerance)
+        weights = np.add.reduceat(np.abs(overlaps) ** 2, starts)
+        ratios = np.sqrt(weights) / gaps[starts] ** 2
         m = int(np.argmax(ratios))
         if ratios[m] > worst:
             worst = float(ratios[m])
             worst_s = float(grid[idx])
-            worst_level = m + 1
+            worst_level = int(starts[m]) + 1
     return RuntimeEstimate(
         worst_ratio=worst,
         suggested_T=worst / target_epsilon,

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from gapcert import paulialg
 from gapcert.cli import main
 from gapcert.specfile import parse_instance
 
@@ -269,6 +270,23 @@ def test_verify_proof_uncertified_instance(run, spec_file):
     assert code == 2
     assert "verdict: not certified" in out
     assert "proof chain not run" in err
+
+
+@pytest.mark.parametrize(
+    "argv", [("estimate", "--grid", "21"), ("verify-proof", "--grid", "11")]
+)
+def test_h_i_built_once_per_call(run, spec_file, monkeypatch, argv):
+    builds = []
+    original = paulialg.build_pauli
+
+    def counting(expression):
+        builds.append(expression)
+        return original(expression)
+
+    monkeypatch.setattr(paulialg, "build_pauli", counting)
+    code, _, _ = run(argv[0], spec_file(STOQUASTIC), *argv[1:])
+    assert code == 0
+    assert len(builds) == 1
 
 
 # ---------------------------------------------------------------------------

@@ -300,3 +300,7 @@ def test_matrix_helpers_agree_with_builders():
     assert np.array_equal(
         spec.h_p_matrix().entries, np.diag([0.0, 2.0, 6.0, 8.0]).astype(complex)
     )
+    # built once and kept read-only on the spec, outside its value
+    assert spec.h_i_matrix() is spec.h_i_matrix()
+    assert not h_i.flags.writeable
+    assert spec == parse_instance(REFERENCE_TEXT)

@@ -10,8 +10,10 @@ import math
 import numpy as np
 import pytest
 
+from gapcert import spectral
 from gapcert.paulialg import HermitianMatrix, PauliExpression, build_pauli
 from gapcert.spectral import (
+    EigensolverError,
     EigenSystem,
     GroundState,
     degeneracy_tolerance,
@@ -163,17 +165,103 @@ def test_one_dimensional_ground_gap_infinite():
 
 
 def test_low_spectrum_consistent_slice():
+    # a different LAPACK driver from eigensystem's: equal to rounding, with
+    # the same phase convention on a nondegenerate spectrum, where rounding
+    # moves a vector by about eps * scale / (distance to the next level)
     rng = np.random.default_rng(7)
     h = random_hermitian(rng, 9)
     sys = eigensystem(h)
     values, vectors = low_spectrum(h, 3)
     assert values.shape == (3,) and vectors.shape == (9, 3)
-    assert np.array_equal(values, sys.eigenvalues[:3])
-    assert np.array_equal(vectors, sys.eigenvectors[:, :3])
+    scale = 1.0 + np.max(np.abs(sys.eigenvalues))
+    separation = np.min(np.diff(sys.eigenvalues[:4]))
+    assert np.max(np.abs(values - sys.eigenvalues[:3])) < 1e-12 * scale
+    assert np.max(np.abs(vectors - sys.eigenvectors[:, :3])) < 1e-12 * scale / separation
     with pytest.raises(ValueError):
         low_spectrum(h, 0)
     with pytest.raises(ValueError):
         low_spectrum(h, 10)
+
+
+# ---------------------------------------------------------------------------
+# the sweep's seam: a real and a complex operator for every check
+
+SEAM_TERMS = [(-1.0, "XII"), (-0.7, "IXI"), (-0.4, "IIX"), (0.5, "ZZI"), (0.3, "IZZ")]
+SEAM_OPERATORS = {
+    "real": build_pauli(PauliExpression.from_terms(3, SEAM_TERMS)).entries.real,
+    "complex": build_pauli(
+        PauliExpression.from_terms(3, SEAM_TERMS + [(0.6, "YZI")])
+    ).entries,
+}
+
+
+@pytest.fixture(params=sorted(SEAM_OPERATORS))
+def seam_operator(request):
+    h = SEAM_OPERATORS[request.param]
+    assert np.iscomplexobj(h) == (request.param == "complex")
+    return h
+
+
+def test_seam_levels_match_eigvalsh(seam_operator):
+    d = seam_operator.shape[0]
+    want = np.linalg.eigvalsh(seam_operator)
+    for m in (1, 2, 4, d):
+        values, _ = low_spectrum(seam_operator, m)
+        assert values.shape == (m,)
+        assert np.all(np.diff(values) >= 0.0)
+        assert np.max(np.abs(values - want[:m])) <= 1e-10 * np.max(np.abs(want))
+
+
+def test_seam_full_range(seam_operator):
+    d = seam_operator.shape[0]
+    values, vectors = low_spectrum(seam_operator, d)
+    assert values.shape == (d,) and vectors.shape == (d, d)
+    assert np.array_equal(values, np.sort(values))
+    assert not values.flags.writeable and not vectors.flags.writeable
+
+
+def test_seam_vectors_orthonormal_and_phase_fixed(seam_operator):
+    d = seam_operator.shape[0]
+    values, vectors = low_spectrum(seam_operator, 4)
+    assert vectors.dtype == seam_operator.dtype
+    assert np.max(np.abs(vectors.conj().T @ vectors - np.eye(4))) < 1e-12
+    residual = seam_operator @ vectors - vectors * values
+    assert np.max(np.abs(residual)) < 1e-12 * d
+    for k in range(4):
+        column = vectors[:, k]
+        assert np.max(np.abs(fix_phase(column) - column)) < 1e-15
+        # the lowest index within 1e-9 of the largest magnitude is the pivot
+        magnitudes = np.abs(column)
+        pivot = int(np.nonzero(magnitudes >= (1.0 - 1e-9) * magnitudes.max())[0][0])
+        assert column[pivot].real > 0.0 and abs(column[pivot].imag) < 1e-15
+
+
+def test_seam_rejects_a_perturbed_driver_result(seam_operator, monkeypatch):
+    name = "_HEEVR" if np.iscomplexobj(seam_operator) else "_SYEVR"
+    driver = getattr(spectral, name)
+
+    def perturbed_value(*args, **kwargs):
+        w, z, found, isuppz, info = driver(*args, **kwargs)
+        w[0] += 1e-6
+        return w, z, found, isuppz, info
+
+    def perturbed_vector(*args, **kwargs):
+        w, z, found, isuppz, info = driver(*args, **kwargs)
+        z[:, 0] += 1e-6 * z[:, 1]
+        return w, z, found, isuppz, info
+
+    def failed(*args, **kwargs):
+        w, z, found, isuppz, info = driver(*args, **kwargs)
+        return w, z, found - 1, isuppz, info
+
+    for fake, match in (
+        (perturbed_value, "residual"),
+        (perturbed_vector, "residual|orthonormality"),
+        (failed, "pairs"),
+    ):
+        monkeypatch.setattr(spectral, name, fake)
+        with pytest.raises(EigensolverError, match=match):
+            low_spectrum(seam_operator, 3)
 
 
 def test_accepts_wrapper_and_array_alike():

@@ -17,7 +17,8 @@ from gapcert.paulialg import (
     ProjectorSpec,
     build_pauli,
 )
-from gapcert.specfile import InstanceSpec, ScheduleSpec
+from gapcert import sweep as sweep_module
+from gapcert.specfile import InstanceSpec, ScheduleSpec, parse_instance
 from gapcert.sweep import (
     CrossingPresent,
     GapProfile,
@@ -30,6 +31,7 @@ from gapcert.sweep import (
     summarize_profile,
     sweep_pair,
 )
+from test_acceptance import COUNTEREXAMPLE_TEXT, certified_corpus
 
 SEARCH_INSTANCE = InstanceSpec(
     1, ProjectorSpec.uniform(1), DiagonalSpec.from_values(1, [0.0, 1.0])
@@ -179,6 +181,81 @@ def test_profile_arrays_frozen_and_vectors_optional():
 
 
 # ---------------------------------------------------------------------------
+# the eigensolve seam
+
+SEAM_TERMS = [(-1.0, "XII"), (-0.7, "IXI"), (-0.4, "IIX"), (0.5, "ZZI"), (0.3, "IZZ")]
+SEAM_PAIRS = {
+    "real": build_pauli(PauliExpression.from_terms(3, SEAM_TERMS)),
+    "complex": build_pauli(PauliExpression.from_terms(3, SEAM_TERMS + [(0.6, "YZI")])),
+}
+SEAM_HP = np.array([0.0, 3.0, 1.0, 6.0, 2.0, 5.0, 4.0, 7.0])
+
+
+@pytest.mark.parametrize("kind", sorted(SEAM_PAIRS))
+def test_sweep_levels_and_vectors_from_the_seam(kind, monkeypatch):
+    h_i = SEAM_PAIRS[kind]
+    assert bool(np.any(h_i.entries.imag)) == (kind == "complex")
+    built = []
+    validate = HermitianMatrix.__post_init__
+
+    def counting(self):
+        built.append(self)
+        validate(self)
+
+    monkeypatch.setattr(HermitianMatrix, "__post_init__", counting)
+    profile = sweep_pair(h_i, SEAM_HP, grid_points=41)
+    assert not built  # h_i is validated once, when it is built
+    assert profile.vectors.dtype == (complex if kind == "complex" else float)
+    scale = 1.0 + profile.spectral_width
+    for idx, s in enumerate(profile.grid):
+        h = (1.0 - s) * h_i.entries + np.diag(s * SEAM_HP)
+        want = np.linalg.eigvalsh(h)[:4]
+        assert np.max(np.abs(profile.levels[idx] - want)) <= 1e-10 * scale
+        v = profile.vectors[idx]
+        assert np.max(np.abs(h @ v - v * profile.levels[idx])) <= 1e-10 * scale
+        assert np.max(np.abs(v.conj().T @ v - np.eye(4))) <= 1e-12
+
+
+def reference_low_spectrum(h, m):
+    """Full complex ``eigvalsh``: the sweep's solve before the seam (levels
+    only, so it stands in for sweeps that keep no vectors)."""
+    return np.linalg.eigvalsh(np.asarray(h, dtype=complex))[:m], None
+
+
+def test_seam_agrees_with_full_complex_reference(monkeypatch):
+    # every tenth criterion-2 instance (all its blocks) plus the counterexample
+    pieces = [
+        (h_i, diag)
+        for _, _, instance_pieces in certified_corpus()[::10]
+        for h_i, diag, _ in instance_pieces
+        if h_i.dim > 1
+    ]
+    counterexample = parse_instance(COUNTEREXAMPLE_TEXT)
+    pieces.append((counterexample.h_i_matrix(), counterexample.h_p))
+    crossings = 0
+    for h_i, h_p in pieces:
+        seam = sweep_pair(h_i, h_p, grid_points=501, m_levels=2, keep_vectors=False)
+        with monkeypatch.context() as patch:
+            patch.setattr(sweep_module, "low_spectrum", reference_low_spectrum)
+            reference = sweep_pair(h_i, h_p, grid_points=501, m_levels=2, keep_vectors=False)
+        scale = 1.0 + reference.spectral_width
+        assert np.max(np.abs(seam.levels - reference.levels)) <= 1e-10 * scale
+        assert [(c.s_lo, c.s_hi) for c in seam.crossings] == [
+            (c.s_lo, c.s_hi) for c in reference.crossings
+        ]
+        crossings += len(reference.crossings)
+        if reference.crossings:
+            # a closed gap is zero to rounding: compare on the crossing scale
+            assert seam.min_gap.value <= seam.crossing_tolerance
+            assert abs(seam.min_gap.s - reference.min_gap.s) < 1e-6
+        else:
+            assert abs(seam.min_gap.value - reference.min_gap.value) <= (
+                1e-10 * reference.min_gap.value
+            )
+    assert crossings == 1 and len(pieces) > 25
+
+
+# ---------------------------------------------------------------------------
 # schedules
 
 
@@ -276,6 +353,42 @@ def test_estimate_runtime_tabulated_schedule_runs():
     profile = schedule_sweep(instance, grid_points=101)
     estimate = estimate_runtime(instance, profile)
     assert estimate.worst_ratio > 0.0
+
+
+def test_estimate_runtime_independent_of_basis_inside_a_degenerate_level():
+    # I - |u><u| has one threefold excited level at s = 0, where the ratio
+    # is |(1 - |u><u|) h_p u| / 1**2, the spread of h_p seen from u
+    hp = np.array([0.0, 4.0, 5.0, 6.0])
+    instance = InstanceSpec(2, ProjectorSpec.uniform(2), DiagonalSpec.from_values(2, hp))
+    swept = gap_sweep(instance, grid_points=21)
+    assert np.ptp(swept.levels[0, 1:]) < 1e-12
+
+    def at_s0(vectors):
+        return GapProfile(
+            grid=swept.grid[:1],
+            levels=swept.levels[:1],
+            gap1=swept.gap1[:1],
+            min_gap=swept.min_gap,
+            crossings=(),
+            spectral_width=swept.spectral_width,
+            schedule=swept.schedule,
+            vectors=vectors,
+        )
+
+    rng = np.random.default_rng(3)
+    q, _ = np.linalg.qr(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
+    given = swept.vectors[:1].astype(complex)
+    turned = given.copy()
+    turned[0][:, 1:] = given[0][:, 1:] @ q
+    plain = estimate_runtime(instance, at_s0(given))
+    rotated = estimate_runtime(instance, at_s0(turned))
+    assert plain.worst_ratio == pytest.approx(np.std(hp), rel=1e-12)
+    assert rotated.worst_ratio == pytest.approx(plain.worst_ratio, rel=1e-12)
+    assert plain.worst_level == rotated.worst_level == 1
+    # level by level, the two bases of the same level disagree
+    dh_u = (np.diag(hp) - instance.h_i_matrix().entries) @ given[0][:, 0]
+    per_level = [np.abs(v[0][:, 1:].conj().T @ dh_u) for v in (given, turned)]
+    assert np.max(np.abs(per_level[0] - per_level[1])) > 0.1
 
 
 # ---------------------------------------------------------------------------
