@@ -209,7 +209,7 @@ def _cmd_verify_proof(args) -> int:
     instance = _load_instance(args.file)
     report = certify(instance)
     if not report.is_certified:
-        sys.stdout.write(render_text(report))
+        _write_output(render_text(report), args.out)
         print(
             "proof chain not run: the instance is not certified "
             "(conditions (1)-(2) must hold first)",
@@ -281,7 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("file")
     p.add_argument("--grid", type=int, default=101, help="sample count (default 101)")
-    add_common(p)
+    p.add_argument("--out", default=None, help="write output to this file")
     p.set_defaults(func=_cmd_verify_proof)
 
     return parser

@@ -2,8 +2,9 @@
 
 Operators are specified either as real-weighted Pauli strings, as an
 explicit diagonal, or as the projector complement ``I - |psi><psi|`` of a
-unit vector, and realized as dense complex matrices in the computational
-basis.  A diagonal final operator is held as its vector of values (see
+unit vector, and realized as dense matrices in the computational basis,
+real unless an imaginary entry survives (see :class:`HermitianMatrix`).
+A diagonal final operator is held as its vector of values (see
 :func:`diagonal_values`) and densified only on request.
 
 Basis convention: a basis index z is the integer value of the bitstring
@@ -25,8 +26,8 @@ HERMITICITY_RTOL = 1e-12
 # Entries below PATTERN_RTOL * (1 + max |entry|) count as structural zeros.
 PATTERN_RTOL = 1e-12
 # Largest qubit count accepted from outside the program: every operator
-# path is dense, and a complex d x d matrix takes 16 * 4**n bytes, 256 MiB
-# at n = 12.
+# path is dense, and a d x d matrix takes 8 * 4**n bytes when real (128 MiB
+# at n = 12) and twice that when complex.
 MAX_QUBITS = 12
 
 
@@ -147,29 +148,40 @@ class ProjectorSpec:
 
 @dataclass(frozen=True, eq=False)
 class HermitianMatrix:
-    """A dense complex matrix validated to be Hermitian.
+    """A dense matrix validated to be Hermitian, held real when it is real.
 
-    The entry array is stored read-only.  Hermiticity is enforced up to
-    ``HERMITICITY_RTOL * (1 + max |entry|)``.
+    The one place that decides how an operator is stored: float64 when no
+    entry has a nonzero imaginary part, complex128 otherwise.  Input that
+    already has that dtype is validated and kept without a copy, and like
+    every stored array it is made read-only.  Hermiticity is enforced up
+    to ``HERMITICITY_RTOL * (1 + max |entry|)``.
     """
 
     entries: np.ndarray
 
     def __post_init__(self) -> None:
-        m = np.asarray(self.entries, dtype=complex)
+        m = np.asarray(self.entries)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError(f"expected a square matrix, got shape {m.shape}")
         if m.shape[0] < 1:
             raise ValueError("matrix dimension must be positive")
-        scale = 1.0 + (np.max(np.abs(m)) if m.size else 0.0)
+        m = m.astype(np.complex128 if np.iscomplexobj(m) else np.float64, copy=False)
+        scale = 1.0 + np.max(np.abs(m))
         defect = np.max(np.abs(m - m.conj().T))
         if defect > HERMITICITY_RTOL * scale:
             raise ValueError(
                 f"matrix is not Hermitian: max |M - M^dag| = {defect:.3e} "
                 f"exceeds {HERMITICITY_RTOL * scale:.3e}"
             )
+        if np.iscomplexobj(m) and not np.any(m.imag):
+            m = m.real.copy()
         m.flags.writeable = False
         object.__setattr__(self, "entries", m)
+
+    @classmethod
+    def of(cls, h) -> "HermitianMatrix":
+        """``h`` itself if it is a :class:`HermitianMatrix`, else ``h`` validated."""
+        return h if isinstance(h, cls) else cls(h)
 
     @property
     def dim(self) -> int:
@@ -212,7 +224,7 @@ def build_pauli(expression: PauliExpression) -> HermitianMatrix:
 
 def build_diagonal(spec: DiagonalSpec) -> HermitianMatrix:
     """Realize a diagonal spec; off-diagonal entries are exactly zero."""
-    return HermitianMatrix(np.diag(np.asarray(spec.values, dtype=complex)))
+    return HermitianMatrix(np.diag(np.asarray(spec.values, dtype=float)))
 
 
 def diagonal_values(h_p, dim: int) -> np.ndarray:
@@ -227,9 +239,7 @@ def diagonal_values(h_p, dim: int) -> np.ndarray:
     if isinstance(h_p, DiagonalSpec):
         h_p = h_p.values
     elif isinstance(h_p, HermitianMatrix) or np.ndim(h_p) == 2:
-        if not isinstance(h_p, HermitianMatrix):
-            h_p = HermitianMatrix(h_p)
-        entries = h_p.entries
+        entries = HermitianMatrix.of(h_p).entries
         worst = float(np.max(np.abs(entries - np.diag(np.diag(entries)))))
         if worst > PATTERN_RTOL * (1.0 + float(np.max(np.abs(entries)))):
             raise ValueError(

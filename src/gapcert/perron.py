@@ -28,7 +28,7 @@ from scipy.sparse.csgraph import connected_components
 from .certifier import PhaseGauge
 from .paulialg import PATTERN_RTOL, HermitianMatrix, diagonal_values
 from .specfile import InstanceSpec
-from .spectral import degeneracy_tolerance, eigensystem, fix_phase, ground_state
+from .spectral import ground_state, low_spectrum, top_eigenvalue
 
 
 class EntryNegative(ValueError):
@@ -85,7 +85,7 @@ def auxiliary_f(h_i: HermitianMatrix, h_p, gauge: PhaseGauge) -> AuxiliaryF:
     hp = diagonal_values(h_p, h_i.dim)
     if h_i.dim != gauge.dim:
         raise ValueError("h_i, h_p and gauge must share one dimension")
-    c1 = float(np.linalg.eigvalsh(h_i.entries)[-1]) + 1.0
+    c1 = top_eigenvalue(h_i.entries) + 1.0
     c2 = float(hp.max()) + 1.0
     rotated = gauge.rotate(h_i).entries
     return AuxiliaryF(
@@ -230,16 +230,14 @@ def power_limit_projector(
     projector onto the positive ground vector r falls below ``tol``; the
     convergence rate is set by (c1 - e1)/(c1 - e0).
     """
-    system = eigensystem(h_i)
-    e0 = float(system.eigenvalues[0])
-    if h_i.dim > 1:
-        if system.eigenvalues[1] - e0 <= degeneracy_tolerance(system.eigenvalues):
-            raise ValueError("power limit needs a unique ground state")
-    c1 = float(system.eigenvalues[-1]) + 1.0
-    r = np.abs(system.eigenvectors[:, 0])
+    ground = ground_state(h_i)
+    if not ground.is_unique:
+        raise ValueError("power limit needs a unique ground state")
+    c1 = top_eigenvalue(h_i.entries) + 1.0
+    r = np.abs(ground.vector)
     target = np.outer(r, r)
     rotated = gauge.rotate(h_i).entries
-    normalized = (c1 * np.eye(h_i.dim) - rotated) / (c1 - e0)
+    normalized = (c1 * np.eye(h_i.dim) - rotated) / (c1 - ground.energy)
     _check_entrywise_nonnegative(normalized, 0.0)
 
     power = normalized
@@ -345,24 +343,22 @@ def verify_proof_chain_pair(
             and certificate.n0 <= wielandt_bound(aux.dim)
         )
 
-        values, vectors = np.linalg.eigh(f)
-        width = float(values[-1] - values[0]) if aux.dim > 1 else 0.0
-        simple = aux.dim == 1 or (
-            values[-1] - values[-2] > 1e-8 * (1.0 + width)
-        )
-        perron = fix_phase(vectors[:, -1])
-        positive = bool(
-            np.min(perron.real) > 0.0 and np.max(np.abs(perron.imag)) <= 1e-9
+        # The Perron pair of F(s) is the ground pair of -F(s).
+        perron = ground_state(-f)
+        simple_positive = bool(
+            perron.is_unique
+            and np.min(perron.vector.real) > 0.0
+            and np.max(np.abs(perron.vector.imag)) <= 1e-9
         )
 
-        e0 = float(np.linalg.eigvalsh((1.0 - s) * h_i.entries + np.diag(s * hp))[0])
-        mirror_defect = abs(float(values[-1]) - (aux.shift(s) - e0))
+        e0 = float(low_spectrum((1.0 - s) * h_i.entries + np.diag(s * hp), 1)[0][0])
+        mirror_defect = abs(-perron.energy - (aux.shift(s) - e0))
         mirror_ok = mirror_defect <= MIRROR_TOL
 
         note = ""
         if not primitive_ok:
             note = "primitivity failed"
-        elif not (simple and positive):
+        elif not simple_positive:
             note = "largest eigenvalue not simple/positive"
         elif not mirror_ok:
             note = f"spectral mirror defect {mirror_defect:.3e}"
@@ -372,7 +368,7 @@ def verify_proof_chain_pair(
                 nonnegative=True,
                 primitive=primitive_ok,
                 n0=certificate.n0,
-                perron_simple_positive=bool(simple and positive),
+                perron_simple_positive=simple_positive,
                 spectral_mirror=mirror_ok,
                 note=note,
             )

@@ -1,4 +1,4 @@
-"""Dense Hermitian eigendecomposition with deterministic conventions.
+"""Dense Hermitian eigenpairs with deterministic conventions.
 
 Eigenvalues are returned in ascending order.  Every eigenvector is
 phase-fixed so that its largest-magnitude component is real and
@@ -6,18 +6,17 @@ nonnegative (ties broken by the lowest index), which makes repeated runs
 on identical input bit-for-bit reproducible and comparisons up to global
 phase unnecessary in the common case.
 
-Two solvers sit behind these conventions.  :func:`eigensystem` (and
-:func:`ground_state` on top of it) diagonalizes completely with
-``numpy.linalg.eigh``; the certificate needs the full spectral width.
-:func:`low_spectrum` is the eigensolve seam of the sweep: it asks LAPACK's
-MRRR drivers ``?syevr`` (real operators) or ``?heevr`` (complex ones) for
-the ``m`` lowest pairs only.  The two solvers agree to rounding, not bit
-for bit.  Both validate every pair they return against the matrix they
-were given.
+One solver sits behind these conventions: every eigenpair comes from
+:func:`low_spectrum`, which asks LAPACK's MRRR drivers ``dsyevr`` (real
+operators, as :class:`~gapcert.paulialg.HermitianMatrix` decides) or
+``zheevr`` for the ``m`` lowest pairs only and validates each pair it
+returns.  :func:`ground_state` adds one solve of ``-h`` for the spectral
+width its degeneracy verdict scales with.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -39,6 +38,16 @@ class EigensolverError(RuntimeError):
 # LAPACK's MRRR drivers, which can return an index range of eigenpairs.
 _SYEVR = get_lapack_funcs("syevr", dtype=np.float64)
 _HEEVR = get_lapack_funcs("heevr", dtype=np.complex128)
+
+
+@functools.lru_cache(maxsize=64)
+def _heevr_workspace(d: int) -> dict:
+    """``zheevr``'s optimal workspace sizes at dimension ``d``, for unpacking
+    into the call: f2py's default ``lwork = 2d`` is the minimum, and slow."""
+    work, rwork, iwork, info = get_lapack_funcs("heevr_lwork", dtype=np.complex128)(d)
+    if info != 0:
+        raise EigensolverError(f"zheevr workspace query returned info = {info}")
+    return {"lwork": int(work.real), "lrwork": int(rwork), "liwork": int(iwork)}
 
 
 @dataclass(frozen=True, eq=False)
@@ -75,20 +84,12 @@ class GroundState:
     is_unique: bool
 
 
-def _as_entries(h) -> np.ndarray:
-    if isinstance(h, HermitianMatrix):
-        return h.entries
-    # Route plain arrays through the validating wrapper so non-Hermitian
-    # input is rejected with a clear message.
-    return HermitianMatrix(np.asarray(h)).entries
-
-
 def _phase_factors(vectors: np.ndarray) -> np.ndarray:
     """Unit factors that bring each column to the :func:`fix_phase`
     convention (1 for a zero column); real for real columns."""
     magnitudes = np.abs(vectors)
     top = magnitudes.max(axis=0, initial=0.0)
-    pivots = np.argmax(magnitudes >= (1.0 - 1e-9) * top, axis=0)
+    pivots = (magnitudes >= (1.0 - 1e-9) * top).argmax(axis=0)
     columns = np.arange(vectors.shape[1])
     sizes = magnitudes[pivots, columns]
     nonzero = sizes > 0.0
@@ -114,16 +115,17 @@ def _validate_pairs(entries: np.ndarray, values: np.ndarray, vectors: np.ndarray
     satisfies ``|H v_m - e_m v_m| <= RESIDUAL_RTOL * (1 + |e_m|)`` and the
     columns are orthonormal to ``RESIDUAL_RTOL``.  NaN fails both tests.
     """
-    residual = entries @ vectors - vectors * values[np.newaxis, :]
+    # ndarray methods: at small d the np.* wrappers' overhead dominates.
+    residual = entries @ vectors - vectors * values
     bound = RESIDUAL_RTOL * (1.0 + np.abs(values))
-    worst = np.max(np.abs(residual), axis=0)
-    if not np.all(worst <= bound):
+    worst = np.abs(residual).max(axis=0)
+    if not (worst <= bound).all():
         m = int(np.flatnonzero(~(worst <= bound))[0])
         raise EigensolverError(
             f"eigenpair {m} residual {worst[m]:.3e} exceeds {bound[m]:.3e}"
         )
     k = vectors.shape[1]
-    gram_defect = np.max(np.abs(vectors.conj().T @ vectors - np.eye(k)))
+    gram_defect = np.abs(vectors.conj().T @ vectors - np.eye(k)).max()
     if not gram_defect <= RESIDUAL_RTOL:
         raise EigensolverError(
             f"eigenvectors lose orthonormality: defect {gram_defect:.3e}"
@@ -131,7 +133,7 @@ def _validate_pairs(entries: np.ndarray, values: np.ndarray, vectors: np.ndarray
 
 
 def eigensystem(h) -> EigenSystem:
-    """Diagonalize a Hermitian matrix.
+    """Diagonalize a Hermitian matrix: :func:`low_spectrum` over all levels.
 
     Parameters
     ----------
@@ -141,7 +143,8 @@ def eigensystem(h) -> EigenSystem:
     Returns
     -------
     EigenSystem
-        Ascending eigenvalues and phase-fixed orthonormal eigenvectors.
+        Ascending eigenvalues and phase-fixed orthonormal eigenvectors,
+        real for a real matrix.
 
     Raises
     ------
@@ -150,12 +153,8 @@ def eigensystem(h) -> EigenSystem:
         ``|H v_m - e_m v_m| <= RESIDUAL_RTOL * (1 + |e_m|)`` or the
         eigenvectors fail orthonormality at the same relative scale.
     """
-    entries = _as_entries(h)
-    values, vectors = np.linalg.eigh(entries)
-    vectors *= _phase_factors(vectors)
-    _validate_pairs(entries, values, vectors)
-    values.flags.writeable = False
-    vectors.flags.writeable = False
+    entries = HermitianMatrix.of(h).entries
+    values, vectors = low_spectrum(entries, entries.shape[0])
     return EigenSystem(dim=entries.shape[0], eigenvalues=values, eigenvectors=vectors)
 
 
@@ -163,6 +162,11 @@ def degeneracy_tolerance(eigenvalues: np.ndarray) -> float:
     """Degeneracy threshold scaled by the spectral width."""
     width = float(eigenvalues[-1] - eigenvalues[0]) if eigenvalues.size > 1 else 0.0
     return DEGENERACY_RTOL * (1.0 + width)
+
+
+def top_eigenvalue(h: np.ndarray) -> float:
+    """Largest eigenvalue of a Hermitian array (not validated): one solve of ``-h``."""
+    return -float(low_spectrum(-h, 1)[0][0])
 
 
 def ground_state(h) -> GroundState:
@@ -175,16 +179,15 @@ def ground_state(h) -> GroundState:
         a uniqueness verdict at tolerance
         ``DEGENERACY_RTOL * (1 + spectral width)``.
     """
-    system = eigensystem(h)
-    if system.dim == 1:
-        gap = math.inf
-    else:
-        gap = float(system.eigenvalues[1] - system.eigenvalues[0])
+    entries = HermitianMatrix.of(h).entries
+    values, vectors = low_spectrum(entries, min(2, entries.shape[0]))
+    gap = float(values[1] - values[0]) if values.size > 1 else math.inf
+    width = top_eigenvalue(entries) - values[0]
     return GroundState(
-        energy=float(system.eigenvalues[0]),
-        vector=system.eigenvectors[:, 0],
+        energy=float(values[0]),
+        vector=vectors[:, 0],
         degeneracy_gap=gap,
-        is_unique=gap > degeneracy_tolerance(system.eigenvalues),
+        is_unique=gap > DEGENERACY_RTOL * (1.0 + width),
     )
 
 
@@ -197,16 +200,15 @@ def low_spectrum(h, m: int) -> tuple[np.ndarray, np.ndarray]:
         The operator.  A plain array is taken as Hermitian by construction
         and not re-validated (the sweep assembles one per grid point from
         validated parts); the solver reads one triangle of it.  A real
-        array goes to LAPACK ``dsyevr``, anything else to ``zheevr``, each
-        asked for the index range 1..m only.
+        array goes to LAPACK ``dsyevr``, anything else to ``zheevr`` with
+        its optimal workspace, each asked for the index range 1..m only.
     m : int
         Number of levels, ``1 <= m <= d``.
 
     Returns
     -------
     values : ndarray, shape (m,)
-        Ascending eigenvalues.  They agree with :func:`eigensystem` to
-        rounding (about 1e-15 relative), not bit for bit.
+        Ascending eigenvalues.
     vectors : ndarray, shape (d, m)
         Phase-fixed orthonormal columns in the :func:`fix_phase`
         convention, real for a real operator.
@@ -215,21 +217,18 @@ def low_spectrum(h, m: int) -> tuple[np.ndarray, np.ndarray]:
     ------
     EigensolverError
         If LAPACK reports a failure or too few pairs, or if a returned pair
-        violates the residual or orthonormality bound of
-        :func:`eigensystem`, checked against the full array ``h``.  The
-        check costs O(d**2 m).
+        fails the residual or orthonormality bound at ``RESIDUAL_RTOL``,
+        checked against the full array ``h`` at a cost of O(d**2 m).
     """
     entries = h.entries if isinstance(h, HermitianMatrix) else np.asarray(h)
     d = entries.shape[0]
     if not 1 <= m <= d:
         raise ValueError(f"requested {m} levels from a {d}-dimensional matrix")
     if np.iscomplexobj(entries):
-        entries = entries.astype(np.complex128, copy=False)
-        driver = _HEEVR
+        driver, workspace = _HEEVR, _heevr_workspace(d)
     else:
-        entries = entries.astype(np.float64, copy=False)
-        driver = _SYEVR
-    values, vectors, found, _, info = driver(entries, range="I", il=1, iu=m)
+        driver, workspace = _SYEVR, {}
+    values, vectors, found, _, info = driver(entries, range="I", il=1, iu=m, **workspace)
     if info != 0 or found != m:
         raise EigensolverError(
             f"{driver.__name__} returned info = {info} with {found} of {m} pairs"

@@ -30,7 +30,7 @@ from scipy.optimize import minimize_scalar
 
 from .paulialg import HermitianMatrix, diagonal_values
 from .specfile import LINEAR, InstanceSpec, ScheduleSpec
-from .spectral import DEGENERACY_RTOL, low_spectrum
+from .spectral import DEGENERACY_RTOL, low_spectrum, top_eigenvalue
 
 # A refined gap minimum below CROSSING_RTOL * (1 + spectral width) is a crossing.
 CROSSING_RTOL = 1e-8
@@ -128,12 +128,9 @@ def sweep_pair(
 
     grid = np.linspace(0.0, 1.0 - 1.0 / grid_points, grid_points)
     a, b = schedule.coefficients(grid)
-    # h_i was validated when it was built; every grid operator below is
-    # Hermitian by construction, so none is re-validated.  A real h_i keeps
-    # the whole sweep on the real solver.
+    # h_i was validated (and, if real, stored as float64) when it was built;
+    # every grid operator below is Hermitian by construction.
     A = h_i.entries
-    if not np.any(A.imag):
-        A = np.ascontiguousarray(A.real)
     diagonal = np.diag_indices(d)
 
     def operator_at(aa: float, bb: float) -> np.ndarray:
@@ -162,11 +159,8 @@ def sweep_pair(
     # crossing-refinement pass.  The global minimum is always refined so
     # min_gap does not depend on grid placement.
     slope_a, slope_b = _schedule_max_slopes(schedule)
-    # |h_i| is the larger of |lowest eigenvalue| of h_i and of -h_i.
-    norm_a = max(
-        abs(float(low_spectrum(sign * A, 1)[0][0]))
-        for sign in (1.0, -1.0)
-    )
+    # |h_i| is the larger of the top eigenvalues of h_i and of -h_i.
+    norm_a = max(top_eigenvalue(A), top_eigenvalue(-A))
     gap_slope = 2.0 * (slope_a * norm_a + slope_b * float(np.max(np.abs(hp))))
     step = grid[1] - grid[0]
     candidate_cut = max(tolerance, 2.0 * gap_slope * step)

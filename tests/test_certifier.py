@@ -4,11 +4,15 @@ Soundness is cross-checked against dense gap sweeps: whenever the
 certificate passes, the sweep must find no crossing on [0, 1).
 """
 
+import math
+
 import numpy as np
 import pytest
 
 from gapcert.cases import CaseParams, build_case
 from gapcert.certifier import (
+    POSITIVITY_TOL,
+    SIGN_RTOL,
     CertificateReport,
     Condition1Result,
     Condition1Violated,
@@ -30,8 +34,10 @@ from gapcert.paulialg import (
     interpolate,
 )
 from gapcert.perron import default_chain_grid, verify_proof_chain_pair
-from gapcert.spectral import ground_state
+from gapcert.specfile import parse_instance
+from gapcert.spectral import DEGENERACY_RTOL, fix_phase, ground_state
 from gapcert.sweep import gap_sweep, sweep_pair
+from test_acceptance import COUNTEREXAMPLE_TEXT, certified_corpus
 
 
 def pauli(n, pairs):
@@ -324,3 +330,61 @@ def test_check_condition2_tolerance_scales_with_magnitude():
     core[0, 1] = core[1, 0] = 5e-7  # now above 1e-10 * (1 + 100)
     h = HermitianMatrix(core.astype(complex))
     assert not check_condition2(h, gauge).passed
+
+
+# ---------------------------------------------------------------------------
+# agreement with a full complex eigensolve
+
+
+def reference_certificate(h_i):
+    """Both conditions from a full complex ``numpy.linalg.eigh`` of ``h_i``:
+    the certificate's route before real operators were held as float64."""
+    entries = np.asarray(h_i.entries, dtype=complex)
+    values, vectors = np.linalg.eigh(entries)
+    d = values.size
+    width = float(values[-1] - values[0])
+    gap = float(values[1] - values[0]) if d > 1 else math.inf
+    unique = gap > DEGENERACY_RTOL * (1.0 + width)
+    vector = fix_phase(vectors[:, 0])
+    min_r = float(np.min(np.abs(vector)))
+    if not (unique and min_r >= POSITIVITY_TOL):
+        return False, unique, gap, min_r, width, None, None
+    u = np.exp(1j * np.angle(vector))
+    rotated = u.conj()[:, np.newaxis] * entries * u[np.newaxis, :]
+    tol = SIGN_RTOL * (1.0 + float(np.max(np.abs(entries))))
+    off = ~np.eye(d, dtype=bool)
+    bad = off & ((rotated.real > tol) | (np.abs(rotated.imag) > tol))
+    violations = {(int(i), int(j)) for i, j in zip(*np.nonzero(bad))}
+    return True, unique, gap, min_r, width, u, violations
+
+
+def test_certificate_agrees_with_full_complex_eigh():
+    # every tenth criterion-2 instance (all its blocks) plus the counterexample
+    pieces = [
+        (h_i, diag)
+        for _, _, instance_pieces in certified_corpus()[::10]
+        for h_i, diag, _ in instance_pieces
+    ]
+    counterexample = parse_instance(COUNTEREXAMPLE_TEXT)
+    pieces.append((counterexample.h_i_matrix(), counterexample.h_p))
+    assert all(h_i.entries.dtype == np.float64 for h_i, _ in pieces)
+    not_certified = 0
+    for h_i, h_p in pieces:
+        report = certify_pair(h_i, h_p)
+        not_certified += not report.is_certified
+        passed, unique, gap, min_r, width, u, violations = reference_certificate(h_i)
+        assert report.condition1.passed == passed
+        assert report.condition2.evaluated == passed
+        if passed:
+            assert report.condition2.passed == (not violations)
+            found = {(v.row, v.col) for v in report.condition2.violations}
+            assert found == violations
+            assert np.max(np.abs(report.gauge.diagonal() - u)) <= 1e-12
+        if unique:
+            tol = 1e-12 * (1.0 + width)
+            if math.isinf(gap):
+                assert math.isinf(report.condition1.degeneracy_gap)
+            else:
+                assert abs(report.condition1.degeneracy_gap - gap) <= tol
+            assert abs(report.condition1.min_r - min_r) <= tol
+    assert len(pieces) > 25 and not_certified == 1  # the counterexample

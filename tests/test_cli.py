@@ -2,10 +2,14 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from gapcert import paulialg
+from gapcert.certifier import certify
 from gapcert.cli import main
+from gapcert.perron import power_limit_projector
 from gapcert.specfile import parse_instance
+from gapcert.spectral import eigensystem
 
 COUNTEREXAMPLE = """\
 qubits = 2
@@ -272,6 +276,23 @@ def test_verify_proof_uncertified_instance(run, spec_file):
     assert "proof chain not run" in err
 
 
+def test_verify_proof_uncertified_report_goes_to_out_file(run, spec_file, tmp_path):
+    target = tmp_path / "report.txt"
+    code, out, err = run(
+        "verify-proof", spec_file(COUNTEREXAMPLE), "--grid", "11", "--out", str(target)
+    )
+    assert code == 2
+    assert out == ""
+    assert "verdict: not certified" in target.read_text()
+    assert "proof chain not run" in err
+
+
+def test_verify_proof_has_no_format_option(run, spec_file):
+    code, _, err = run("verify-proof", spec_file(STOQUASTIC), "--format", "structured")
+    assert code == 1
+    assert "error:" in err
+
+
 @pytest.mark.parametrize(
     "argv", [("estimate", "--grid", "21"), ("verify-proof", "--grid", "11")]
 )
@@ -287,6 +308,51 @@ def test_h_i_built_once_per_call(run, spec_file, monkeypatch, argv):
     code, _, _ = run(argv[0], spec_file(STOQUASTIC), *argv[1:])
     assert code == 0
     assert len(builds) == 1
+
+
+# ---------------------------------------------------------------------------
+# one eigensolver
+
+
+THREE_QUBIT_GAUGED = """\
+qubits = 3
+[Hi]
+terms = 1.0 XII, 0.7 IXI, 0.4 IIX, -0.3 ZZI
+[Hp]
+diagonal = 0.0, 3.0, 1.0, 6.0, 2.0, 5.0, 4.0, 7.0
+"""
+
+THREE_QUBIT_HOPPING = """\
+qubits = 3
+[Hi]
+terms = -0.5 XXI, -0.5 YYI, -0.5 IXX, -0.5 IYY, -0.5 XIX, -0.5 YIY
+[Hp]
+diagonal = 0.0, 3.0, 1.0, 6.0, 2.0, 5.0, 4.0, 7.0
+"""
+
+
+def test_every_eigenpair_comes_from_the_seam(run, spec_file, monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("eigensolver called outside spectral.low_spectrum")
+
+    for name in ("eigh", "eigvalsh", "eig", "eigvals"):
+        monkeypatch.setattr(np.linalg, name, forbidden)
+    monkeypatch.setattr(scipy.linalg, "eigh", forbidden)
+
+    gauged = spec_file(THREE_QUBIT_GAUGED, "gauged.spec")
+    for argv in (
+        ("certify", gauged),
+        ("sweep", gauged, "--grid", "21"),
+        ("estimate", gauged, "--grid", "21"),
+        ("verify-proof", gauged, "--grid", "11"),
+        ("blocks", spec_file(THREE_QUBIT_HOPPING, "hopping.spec")),
+    ):
+        code, _, err = run(*argv)
+        assert code == 0, (argv, err)
+    instance = parse_instance(THREE_QUBIT_GAUGED)
+    report = certify(instance)
+    assert power_limit_projector(instance.h_i_matrix(), report.gauge).n_power >= 1
+    assert eigensystem(instance.h_i_matrix()).eigenvalues.shape == (8,)
 
 
 # ---------------------------------------------------------------------------

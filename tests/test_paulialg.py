@@ -8,6 +8,7 @@ the library builds them with index arithmetic on computational-basis columns.
 import numpy as np
 import pytest
 
+from gapcert.cases import CaseParams, build_case
 from gapcert.paulialg import (
     DiagonalSpec,
     HermitianMatrix,
@@ -98,6 +99,27 @@ def test_hermitian_matrix_rejects_non_hermitian():
     h = HermitianMatrix(np.array([[1.0, 2.0], [2.0, -1.0]], dtype=complex))
     assert h.dim == 2
     assert not h.entries.flags.writeable
+    with pytest.raises(ValueError):
+        HermitianMatrix(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+
+def test_hermitian_matrix_is_real_unless_an_imaginary_entry_survives():
+    real = np.array([[1.0, 2.0], [2.0, -1.0]])
+    h = HermitianMatrix(real)
+    assert h.entries.dtype == np.float64
+    assert np.shares_memory(h.entries, real)  # validated without a copy
+    assert HermitianMatrix(real.astype(complex)).entries.dtype == np.float64
+    assert HermitianMatrix([[1, 0], [0, 2]]).entries.dtype == np.float64
+    hopping = build_case(CaseParams("xy_hopping", 3), None).h_i_matrix()
+    assert hopping.entries.dtype == np.float64  # Y Y is a real product
+    one_y = build_pauli(PauliExpression.from_terms(2, [(1.0, "XX"), (0.5, "YZ")]))
+    assert one_y.entries.dtype == np.complex128
+    cancelled = build_pauli(
+        PauliExpression.from_terms(2, [(1.0, "XX"), (0.5, "YZ"), (-0.5, "YZ")])
+    )
+    assert cancelled.entries.dtype == np.float64
+    assert build_projector_complement(ProjectorSpec.uniform(2)).entries.dtype == np.float64
+    assert build_diagonal(DiagonalSpec.from_values(1, [0.0, 1.0])).entries.dtype == np.float64
 
 
 # ---------------------------------------------------------------------------
