@@ -206,6 +206,7 @@ def _cmd_estimate(args) -> int:
 
 
 def _cmd_verify_proof(args) -> int:
+    grid = default_chain_grid(args.grid)
     instance = _load_instance(args.file)
     report = certify(instance)
     if not report.is_certified:
@@ -216,9 +217,7 @@ def _cmd_verify_proof(args) -> int:
             file=sys.stderr,
         )
         return 2
-    chain = verify_proof_chain(
-        instance, report.gauge, default_chain_grid(args.grid)
-    )
+    chain = verify_proof_chain(instance, report.gauge, grid)
     _write_output(render_chain_text(chain), args.out)
     return 0 if chain.passed else 1
 

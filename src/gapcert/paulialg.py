@@ -154,7 +154,7 @@ class HermitianMatrix:
     entry has a nonzero imaginary part, complex128 otherwise.  Input that
     already has that dtype is validated and kept without a copy, and like
     every stored array it is made read-only.  Hermiticity is enforced up
-    to ``HERMITICITY_RTOL * (1 + max |entry|)``.
+    to ``HERMITICITY_RTOL * (1 + max |entry|)``; every entry must be finite.
     """
 
     entries: np.ndarray
@@ -167,6 +167,8 @@ class HermitianMatrix:
             raise ValueError("matrix dimension must be positive")
         m = m.astype(np.complex128 if np.iscomplexobj(m) else np.float64, copy=False)
         scale = 1.0 + np.max(np.abs(m))
+        if not np.isfinite(scale):
+            raise ValueError("matrix has a non-finite entry")
         defect = np.max(np.abs(m - m.conj().T))
         if defect > HERMITICITY_RTOL * scale:
             raise ValueError(

@@ -11,9 +11,13 @@ eigenvalue is simple with a strictly positive eigenvector.  Undoing the
 shift maps that simple eigenvalue back onto the ground level of the
 interpolated operator, which is what keeps the gap open.
 
-``verify_proof_chain`` re-derives each link numerically on a sample grid.
-The result is a numerical corroboration of the argument at the sampled
-points, not a proof.
+Every F(s) with s < 1 has a diagonal of at least 1 and the off-diagonal
+of its s = 0 piece scaled by (1-s), so its graph, and with it primitivity,
+is shared by the whole chain.  ``verify_proof_chain`` re-derives each link
+numerically on a sample grid; it decides primitivity once per distinct
+nonnegativity pattern and checks at every sample that the pattern is the
+one decided.  The result is a numerical corroboration of the argument at
+the sampled points, not a proof.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
+from scipy.sparse.csgraph import connected_components, shortest_path
 
 from .certifier import PhaseGauge
 from .paulialg import PATTERN_RTOL, HermitianMatrix, diagonal_values
@@ -97,12 +101,31 @@ def auxiliary_f(h_i: HermitianMatrix, h_p, gauge: PhaseGauge) -> AuxiliaryF:
     )
 
 
-def _check_entrywise_nonnegative(f: np.ndarray, s: float) -> None:
-    tol = PATTERN_RTOL * (1.0 + float(np.max(np.abs(f))))
-    bad = (f.real < -tol) | (np.abs(f.imag) > tol)
-    if np.any(bad):
-        i, j = np.unravel_index(int(np.argmax(bad)), bad.shape)
-        raise EntryNegative(int(i), int(j), complex(f[i, j]), s)
+def _nonnegative_pattern(f: np.ndarray):
+    """The structural pattern ``f.real > tol`` and the first offending entry.
+
+    ``tol = PATTERN_RTOL * (1 + max |f|)``; an entry offends when it is not
+    finite, its real part is below ``-tol`` or its imaginary part beyond
+    ``tol``.  The entry is a ``(row, col)`` pair, or None if none offends.
+    """
+    scale = float(np.max(np.abs(f))) if f.size else 0.0
+    tol = PATTERN_RTOL * (1.0 + scale)
+    if math.isfinite(scale):
+        bad = f.real < -tol
+        if np.iscomplexobj(f):
+            bad |= np.abs(f.imag) > tol
+    else:
+        bad = ~np.isfinite(f)
+    offending = divmod(int(np.argmax(bad)), bad.shape[1]) if bad.any() else None
+    return f.real > tol, offending
+
+
+def _check_entrywise_nonnegative(f: np.ndarray, s: float) -> np.ndarray:
+    """The structural pattern of ``f``; raises :class:`EntryNegative` if one entry offends."""
+    pattern, offending = _nonnegative_pattern(f)
+    if offending is not None:
+        raise EntryNegative(*offending, complex(f[offending]), s)
+    return pattern
 
 
 def build_f(h_i: HermitianMatrix, h_p, gauge: PhaseGauge, s: float) -> HermitianMatrix:
@@ -134,33 +157,19 @@ class PrimitivityCertificate:
     reducible_blocks: tuple[tuple[int, ...], ...] | None = None
 
 
-def _digraph_period(pattern: np.ndarray) -> int:
+def _digraph_period(graph) -> int:
     # BFS levels from node 0; the period of a strongly connected digraph
     # is the gcd of (level[u] + 1 - level[v]) over all edges u -> v.
-    d = pattern.shape[0]
-    dist = np.full(d, -1, dtype=int)
-    dist[0] = 0
-    frontier = [0]
-    while frontier:
-        nxt = []
-        for u in frontier:
-            for v in np.nonzero(pattern[u])[0]:
-                if dist[v] < 0:
-                    dist[v] = dist[u] + 1
-                    nxt.append(int(v))
-        frontier = nxt
-    g = 0
-    for u in range(d):
-        for v in np.nonzero(pattern[u])[0]:
-            g = math.gcd(g, dist[u] + 1 - dist[int(v)])
-    return abs(g)
+    level = shortest_path(graph, unweighted=True, indices=0).astype(np.int64)
+    rows, cols = graph.nonzero()
+    return int(np.gcd.reduce(level[rows] + 1 - level[cols]))
 
 
 def _minimal_positive_power(pattern: np.ndarray) -> int:
-    d = pattern.shape[0]
-    bound = wielandt_bound(d)
-    base = pattern.astype(np.int64)
-    power = base.copy()
+    bound = wielandt_bound(pattern.shape[0])
+    # 0/1 entries and sums of at most d terms: float64 (BLAS) products are exact
+    base = pattern.astype(np.float64)
+    power = base
     exponent = 1
     while not power.all():
         if exponent >= bound:
@@ -168,8 +177,7 @@ def _minimal_positive_power(pattern: np.ndarray) -> int:
                 "positive power not reached within the Wielandt bound; "
                 "matrix is not primitive"
             )
-        power = (power @ base) > 0
-        power = power.astype(np.int64)
+        power = np.minimum(power @ base, 1.0)
         exponent += 1
     return exponent
 
@@ -180,13 +188,13 @@ def primitivity(matrix) -> PrimitivityCertificate:
     The decision is purely graph-structural: strong connectivity plus
     cycle-length gcd 1.  Boolean matrix powers are used only to report
     the minimal exponent ``n0``, which always lands within the Wielandt
-    bound ``(d-1)**2 + 1``.
+    bound ``(d-1)**2 + 1``.  Raises ``ValueError`` for a negative, non-real
+    or non-finite entry.
     """
     entries = matrix.entries if isinstance(matrix, HermitianMatrix) else np.asarray(matrix)
-    tol = PATTERN_RTOL * (1.0 + float(np.max(np.abs(entries))) if entries.size else 1.0)
-    if np.any(entries.real < -tol) or np.any(np.abs(entries.imag) > tol):
+    pattern, offending = _nonnegative_pattern(entries)
+    if offending is not None:
         raise ValueError("primitivity requires an entrywise-nonnegative matrix")
-    pattern = entries.real > tol
     d = pattern.shape[0]
 
     if d == 1:
@@ -194,15 +202,13 @@ def primitivity(matrix) -> PrimitivityCertificate:
             return PrimitivityCertificate(is_primitive=True, n0=1, period=1)
         return PrimitivityCertificate(is_primitive=False, reducible_blocks=((0,),))
 
-    n_components, labels = connected_components(
-        csr_matrix(pattern), directed=True, connection="strong"
-    )
+    graph = csr_matrix(pattern)
+    n_components, labels = connected_components(graph, directed=True, connection="strong")
     if n_components > 1:
-        blocks = [tuple(np.nonzero(labels == c)[0].tolist()) for c in range(n_components)]
-        blocks.sort(key=lambda block: block[0])
+        blocks = sorted(tuple(np.flatnonzero(labels == c).tolist()) for c in range(n_components))
         return PrimitivityCertificate(is_primitive=False, reducible_blocks=tuple(blocks))
 
-    period = _digraph_period(pattern)
+    period = _digraph_period(graph)
     if period != 1:
         return PrimitivityCertificate(is_primitive=False, period=period)
     return PrimitivityCertificate(
@@ -259,10 +265,10 @@ class ProofSample:
 
     s: float
     nonnegative: bool
-    primitive: bool | None
-    n0: int | None
-    perron_simple_positive: bool | None
-    spectral_mirror: bool | None
+    primitive: bool | None = None
+    n0: int | None = None
+    perron_simple_positive: bool | None = None
+    spectral_mirror: bool | None = None
     note: str = ""
 
     @property
@@ -294,6 +300,8 @@ MIRROR_TOL = 1e-9
 
 def default_chain_grid(points: int = 101) -> np.ndarray:
     """Uniform sample grid on [0, 1 - 1/points]."""
+    if points < 1:
+        raise ValueError(f"the proof chain needs at least 1 sample point, got {points}")
     return np.linspace(0.0, 1.0 - 1.0 / points, points)
 
 
@@ -311,37 +319,28 @@ def verify_proof_chain_pair(
     eigenvalue mirrors the interpolated ground level through the shift:
     ``max eig F(s) + e0(H(s)) = (1-s) c1 + s c2``.  ``h_p`` may take any
     form :func:`~gapcert.paulialg.diagonal_values` accepts.
+
+    Primitivity depends on F(s) only through its structural pattern, so
+    :func:`primitivity` runs only when a sample's pattern differs from the
+    previous sample's; on [0, 1) that is once per chain.
     """
     hp = diagonal_values(h_p, h_i.dim)
     aux = auxiliary_f(h_i, hp, gauge)
     if s_samples is None:
         s_samples = default_chain_grid()
     samples = []
+    pattern = certificate = None
     for s in np.asarray(s_samples, dtype=float):
         s = float(s)
         f = aux.sample(s)
         try:
-            _check_entrywise_nonnegative(f, s)
+            sample_pattern = _check_entrywise_nonnegative(f, s)
         except EntryNegative as exc:
-            samples.append(
-                ProofSample(
-                    s=s,
-                    nonnegative=False,
-                    primitive=None,
-                    n0=None,
-                    perron_simple_positive=None,
-                    spectral_mirror=None,
-                    note=str(exc),
-                )
-            )
+            samples.append(ProofSample(s=s, nonnegative=False, note=str(exc)))
             continue
 
-        certificate = primitivity(f)
-        primitive_ok = bool(
-            certificate.is_primitive
-            and certificate.n0 is not None
-            and certificate.n0 <= wielandt_bound(aux.dim)
-        )
+        if pattern is None or not np.array_equal(sample_pattern, pattern):
+            pattern, certificate = sample_pattern, primitivity(f)
 
         # The Perron pair of F(s) is the ground pair of -F(s).
         perron = ground_state(-f)
@@ -356,7 +355,7 @@ def verify_proof_chain_pair(
         mirror_ok = mirror_defect <= MIRROR_TOL
 
         note = ""
-        if not primitive_ok:
+        if not certificate.is_primitive:
             note = "primitivity failed"
         elif not simple_positive:
             note = "largest eigenvalue not simple/positive"
@@ -366,7 +365,7 @@ def verify_proof_chain_pair(
             ProofSample(
                 s=s,
                 nonnegative=True,
-                primitive=primitive_ok,
+                primitive=certificate.is_primitive,
                 n0=certificate.n0,
                 perron_simple_positive=simple_positive,
                 spectral_mirror=mirror_ok,

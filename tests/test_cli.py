@@ -287,6 +287,14 @@ def test_verify_proof_uncertified_report_goes_to_out_file(run, spec_file, tmp_pa
     assert "proof chain not run" in err
 
 
+@pytest.mark.parametrize("points", ["0", "-3"])
+def test_verify_proof_rejects_an_empty_grid(run, spec_file, points):
+    code, out, err = run("verify-proof", spec_file(STOQUASTIC), "--grid", points)
+    assert code == 1
+    assert out == ""
+    assert err == f"error: the proof chain needs at least 1 sample point, got {points}\n"
+
+
 def test_verify_proof_has_no_format_option(run, spec_file):
     code, _, err = run("verify-proof", spec_file(STOQUASTIC), "--format", "structured")
     assert code == 1

@@ -103,6 +103,16 @@ def test_hermitian_matrix_rejects_non_hermitian():
         HermitianMatrix(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])
+def test_hermitian_matrix_rejects_non_finite_entries(bad):
+    with pytest.raises(ValueError, match="non-finite"):
+        HermitianMatrix(np.array([[bad]]))
+    entries = np.eye(3, dtype=type(bad))
+    entries[2, 2] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        HermitianMatrix(entries)
+
+
 def test_hermitian_matrix_is_real_unless_an_imaginary_entry_survives():
     real = np.array([[1.0, 2.0], [2.0, -1.0]])
     h = HermitianMatrix(real)

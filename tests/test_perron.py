@@ -7,7 +7,9 @@ independent computation.
 
 import numpy as np
 import pytest
+from test_acceptance import certified_corpus
 
+from gapcert import perron
 from gapcert.cases import CaseParams, build_case
 from gapcert.certifier import PhaseGauge, certify, extract_gauge
 from gapcert.paulialg import (
@@ -130,6 +132,17 @@ def test_primitivity_frozen_small_cases():
         primitivity(np.array([[1.0, -0.5], [0.5, 1.0]]))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(1.0, np.nan)])
+def test_primitivity_rejects_non_finite_entries(bad):
+    matrix = np.ones((3, 3), dtype=type(bad))
+    matrix[1, 2] = bad
+    with pytest.raises(ValueError, match="entrywise-nonnegative"):
+        primitivity(matrix)
+    with pytest.raises(EntryNegative) as err:  # the offending entry is named
+        perron._check_entrywise_nonnegative(matrix, 0.5)
+    assert (err.value.row, err.value.col) == (1, 2)
+
+
 def test_wielandt_graph_attains_the_bound():
     # directed d-cycle plus one chord: the classical extremal case
     d = 4
@@ -184,6 +197,46 @@ def test_period_of_bipartite_cycle():
         pattern[(u + 1) % 4, u] = 1.0
     cert = primitivity(pattern)
     assert not cert.is_primitive and cert.period == 2
+
+
+def closed_walk_period(pattern):
+    """gcd of the k <= d with a closed walk of length k (trace(A^k) > 0)."""
+    d = pattern.shape[0]
+    step = pattern.astype(np.int64)
+    reach = step.copy()
+    g = 0
+    for k in range(1, d + 1):
+        if np.trace(reach) > 0:
+            g = np.gcd(g, k)
+        reach = ((reach @ step) > 0).astype(np.int64)
+    return int(g)
+
+
+def test_period_matches_closed_walk_oracle():
+    # a Hamiltonian cycle keeps every pattern strongly connected; extra edges
+    # go only from class c to class c + 1 (mod p), so periods above 1 occur
+    rng = np.random.default_rng(20240822)
+    periods = set()
+    for _ in range(300):
+        p = int(rng.integers(1, 4))
+        d = p * int(rng.integers(1, 7))
+        if d == 1:
+            continue
+        order = rng.permutation(d)
+        pattern = np.zeros((d, d), dtype=bool)
+        pattern[order, np.roll(order, -1)] = True
+        classes = np.empty(d, dtype=int)
+        classes[order] = np.arange(d) % p
+        step = (classes[:, None] + 1) % p == classes[None, :]
+        pattern |= step & (rng.random((d, d)) < 0.3)
+        if rng.random() < 0.3:  # now and then an edge that breaks the classes
+            pattern[rng.integers(d), rng.integers(d)] = True
+        cert = primitivity(pattern.astype(float))
+        assert cert.reducible_blocks is None
+        assert cert.period == closed_walk_period(pattern)
+        assert cert.is_primitive == (cert.period == 1)
+        periods.add(cert.period)
+    assert periods >= {1, 2, 3}
 
 
 def test_entrywise_monotone_powers():
@@ -279,6 +332,62 @@ def test_chain_passes_for_certified_instance():
     text = render_chain_text(chain)
     assert "all checks passed" in text
     assert "not a proof" in text
+
+
+def count_primitivity_calls(monkeypatch):
+    calls = []
+
+    def counted(matrix):
+        calls.append(matrix)
+        return primitivity(matrix)
+
+    monkeypatch.setattr(perron, "primitivity", counted)
+    return calls
+
+
+def assert_chain_matches_per_sample_primitivity(chain, aux):
+    for sample in chain.samples:
+        cert = primitivity(aux.sample(sample.s))
+        assert sample.primitive == cert.is_primitive
+        assert sample.n0 == cert.n0
+
+
+def test_chain_decides_primitivity_once(monkeypatch):
+    instance = build_case(CaseParams("bit_rotation", 3, ai=(-1.0, -0.5, -0.25)))
+    report = certify(instance)
+    calls = count_primitivity_calls(monkeypatch)
+    chain = verify_proof_chain(instance, report.gauge)
+    assert chain.passed and len(chain.samples) == 101
+    assert len(calls) == 1
+
+
+def test_chain_redecides_primitivity_when_the_pattern_changes(monkeypatch):
+    # the XX coupling of 1e-10 falls below PATTERN_RTOL * (1 + max |F|) once
+    # (1-s) is below about 0.05: the pattern loses its antidiagonal and n0
+    # goes from 1 (every entry positive) to 2 (the square's diameter)
+    h_i = pauli(2, [(-1.0, "XI"), (-1.0, "IX"), (-1e-10, "XX")])
+    h_p = [0.0, 1.0, 2.0, 3.0]
+    gauge = extract_gauge(ground_state(h_i))
+    calls = count_primitivity_calls(monkeypatch)
+    chain = verify_proof_chain_pair(h_i, h_p, gauge)
+    assert chain.passed
+    assert len(calls) == 2
+    n0 = [sample.n0 for sample in chain.samples]
+    changed = n0.index(2)
+    assert 0 < changed < len(n0) - 1
+    assert n0 == [1] * changed + [2] * (len(n0) - changed)
+    monkeypatch.undo()
+    assert_chain_matches_per_sample_primitivity(chain, auxiliary_f(h_i, h_p, gauge))
+
+
+def test_chain_primitivity_matches_per_sample_on_the_corpus():
+    pieces = [piece for _, _, family_pieces in certified_corpus() for piece in family_pieces]
+    for h_i, diag, report in pieces[::10]:
+        chain = verify_proof_chain_pair(h_i, diag, report.gauge)
+        assert chain.passed
+        assert_chain_matches_per_sample_primitivity(
+            chain, auxiliary_f(h_i, diag, report.gauge)
+        )
 
 
 def test_chain_fails_nonnegativity_for_sign_violating_driver():
