@@ -57,7 +57,6 @@ from .perron import (
     ProofChainReport,
     ProofSample,
     auxiliary_f,
-    build_f,
     default_chain_grid,
     power_limit_projector,
     primitivity,
@@ -106,10 +105,9 @@ __all__ = [
     "certify", "certify_pair", "check_condition2", "extract_gauge",
     "render_structured", "render_text",
     "AuxiliaryF", "EntryNegative", "PowerLimitResult", "PrimitivityCertificate",
-    "ProofChainReport", "ProofSample", "auxiliary_f", "build_f",
-    "default_chain_grid", "power_limit_projector", "primitivity",
-    "render_chain_text", "verify_proof_chain", "verify_proof_chain_pair",
-    "wielandt_bound",
+    "ProofChainReport", "ProofSample", "auxiliary_f", "default_chain_grid",
+    "power_limit_projector", "primitivity", "render_chain_text",
+    "verify_proof_chain", "verify_proof_chain_pair", "wielandt_bound",
     "FAMILIES", "CaseParams", "NotWeightSymmetric", "WeightBlock",
     "block_pair", "build_case", "case_h_i", "certify_block", "default_h_p",
     "ground_state_reference", "weight_blocks", "weight_operator",

@@ -128,19 +128,6 @@ def _check_entrywise_nonnegative(f: np.ndarray, s: float) -> np.ndarray:
     return pattern
 
 
-def build_f(h_i: HermitianMatrix, h_p, gauge: PhaseGauge, s: float) -> HermitianMatrix:
-    """One sample F(s), validated entrywise nonnegative.
-
-    Raises :class:`EntryNegative` naming the first offending entry when
-    the rotated operator has a positive or non-real off-diagonal entry
-    (the situation condition (2) rules out).
-    """
-    aux = auxiliary_f(h_i, h_p, gauge)
-    f = aux.sample(s)
-    _check_entrywise_nonnegative(f, s)
-    return HermitianMatrix(f)
-
-
 @dataclass(frozen=True)
 class PrimitivityCertificate:
     """Graph-structure verdict for a nonnegative matrix.

@@ -10,8 +10,9 @@ One solver sits behind these conventions: every eigenpair comes from
 :func:`low_spectrum`, which asks LAPACK's MRRR drivers ``dsyevr`` (real
 operators, as :class:`~gapcert.paulialg.HermitianMatrix` decides) or
 ``zheevr`` for the ``m`` lowest pairs only and validates each pair it
-returns.  :func:`ground_state` adds one solve of ``-h`` for the spectral
-width its degeneracy verdict scales with.
+returns.  :func:`ground_state` makes exactly one such solve: its
+degeneracy verdict scales with the Gershgorin width of ``h``, which
+contains the spectral width and costs one pass over the entries.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from .paulialg import HermitianMatrix
 
 # Residual / orthonormality validation threshold (relative).
 RESIDUAL_RTOL = 1e-9
-# Two eigenvalues within 1e-8 * (1 + spectral width) count as degenerate.
+# Two eigenvalues within 1e-8 * (1 + Gershgorin width) count as degenerate.
 DEGENERACY_RTOL = 1e-8
 
 
@@ -75,7 +76,7 @@ class GroundState:
 
     ``degeneracy_gap`` is the distance to the second eigenvalue
     (``inf`` for one-dimensional problems); ``is_unique`` holds when that
-    gap exceeds ``DEGENERACY_RTOL * (1 + spectral width)``.
+    gap exceeds ``DEGENERACY_RTOL * (1 + Gershgorin width)``.
     """
 
     energy: float
@@ -158,31 +159,38 @@ def eigensystem(h) -> EigenSystem:
     return EigenSystem(dim=entries.shape[0], eigenvalues=values, eigenvectors=vectors)
 
 
-def degeneracy_tolerance(eigenvalues: np.ndarray) -> float:
-    """Degeneracy threshold scaled by the spectral width."""
-    width = float(eigenvalues[-1] - eigenvalues[0]) if eigenvalues.size > 1 else 0.0
-    return DEGENERACY_RTOL * (1.0 + width)
-
-
 def top_eigenvalue(h: np.ndarray) -> float:
     """Largest eigenvalue of a Hermitian array (not validated): one solve of ``-h``."""
     return -float(low_spectrum(-h, 1)[0][0])
 
 
+def _gershgorin_width(entries: np.ndarray) -> float:
+    """Width ``max(h_ii + R_i) - min(h_ii - R_i)``, ``R_i = sum_{j != i} |h_ij|``,
+    of the Gershgorin interval, which contains every eigenvalue."""
+    radii = np.abs(entries)
+    np.fill_diagonal(radii, 0.0)
+    radii = radii.sum(axis=1)
+    centres = entries.diagonal().real
+    return float((centres + radii).max() - (centres - radii).min())
+
+
 def ground_state(h) -> GroundState:
-    """Lowest eigenpair of a Hermitian matrix.
+    """Lowest eigenpair of a Hermitian matrix, from one :func:`low_spectrum` solve.
 
     Returns
     -------
     GroundState
         Energy, phase-fixed eigenvector, gap to the next eigenvalue and
         a uniqueness verdict at tolerance
-        ``DEGENERACY_RTOL * (1 + spectral width)``.
+        ``DEGENERACY_RTOL * (1 + Gershgorin width)``.  That interval
+        contains the spectrum, so the test is never looser than one scaled
+        by the spectral width; neither width changes under a shift or a
+        diagonal unitary.
     """
     entries = HermitianMatrix.of(h).entries
     values, vectors = low_spectrum(entries, min(2, entries.shape[0]))
     gap = float(values[1] - values[0]) if values.size > 1 else math.inf
-    width = top_eigenvalue(entries) - values[0]
+    width = _gershgorin_width(entries)
     return GroundState(
         energy=float(values[0]),
         vector=vectors[:, 0],

@@ -159,8 +159,10 @@ def sweep_pair(
     # crossing-refinement pass.  The global minimum is always refined so
     # min_gap does not depend on grid placement.
     slope_a, slope_b = _schedule_max_slopes(schedule)
-    # |h_i| is the larger of the top eigenvalues of h_i and of -h_i.
-    norm_a = max(top_eigenvalue(A), top_eigenvalue(-A))
+    # |h_i| is the larger of the top eigenvalues of h_i and of -h_i.  Every
+    # schedule has a(0) = 1 and b(0) = 0 and grid[0] is 0, so the first grid
+    # operator is h_i itself and -levels[0, 0] is the top eigenvalue of -h_i.
+    norm_a = max(top_eigenvalue(A), -float(levels[0, 0]))
     gap_slope = 2.0 * (slope_a * norm_a + slope_b * float(np.max(np.abs(hp))))
     step = grid[1] - grid[0]
     candidate_cut = max(tolerance, 2.0 * gap_slope * step)
@@ -286,7 +288,8 @@ def estimate_runtime(
 
     Raises :class:`CrossingPresent` when the profile contains crossings
     (the ratio diverges), and ``ValueError`` when the profile was swept
-    without retained eigenvectors.
+    without retained eigenvectors or ``target_epsilon`` is not positive
+    and finite.
     """
     if profile.crossings:
         raise CrossingPresent(
@@ -294,8 +297,8 @@ def estimate_runtime(
         )
     if profile.vectors is None:
         raise ValueError("profile must retain eigenvectors (keep_vectors=True)")
-    if target_epsilon <= 0:
-        raise ValueError("target_epsilon must be positive")
+    if not 0.0 < target_epsilon < np.inf:
+        raise ValueError(f"target_epsilon must be positive and finite, got {target_epsilon}")
 
     A = instance.h_i_matrix().entries
     hp = diagonal_values(instance.h_p, A.shape[0])

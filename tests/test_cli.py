@@ -252,6 +252,14 @@ def test_estimate_structured_and_eps(run, spec_file):
     )
 
 
+@pytest.mark.parametrize("eps", ["nan", "inf"])
+def test_estimate_rejects_a_non_finite_eps(run, spec_file, eps):
+    code, out, err = run("estimate", spec_file(STOQUASTIC), "--grid", "21", "--eps", eps)
+    assert code == 1
+    assert out == ""
+    assert err == f"error: target_epsilon must be positive and finite, got {eps}\n"
+
+
 def test_estimate_refuses_crossing_profile(run, spec_file):
     code, out, err = run("estimate", spec_file(COUNTEREXAMPLE), "--grid", "201")
     assert code == 1
@@ -293,6 +301,15 @@ def test_verify_proof_rejects_an_empty_grid(run, spec_file, points):
     assert code == 1
     assert out == ""
     assert err == f"error: the proof chain needs at least 1 sample point, got {points}\n"
+
+
+@pytest.mark.parametrize("points", [1, 5, 11])
+def test_verify_proof_solve_count(run, spec_file, solve_log, points):
+    # certify's ground solve, the top of h_i for c1, then per sample the
+    # Perron pair of F(s) and the interpolated ground level
+    code, _, _ = run("verify-proof", spec_file(STOQUASTIC), "--grid", str(points))
+    assert code == 0
+    assert len(solve_log) == 2 * points + 2
 
 
 def test_verify_proof_has_no_format_option(run, spec_file):

@@ -22,7 +22,6 @@ from gapcert.perron import (
     AuxiliaryF,
     EntryNegative,
     auxiliary_f,
-    build_f,
     default_chain_grid,
     power_limit_projector,
     primitivity,
@@ -62,10 +61,7 @@ def test_auxiliary_pieces_single_qubit_frozen():
     assert aux.c1 == 1.5 and aux.c2 == 2.0
     assert np.array_equal(aux.a1, np.array([[1.5, 0.5], [0.5, 1.5]]))
     assert np.array_equal(aux.a2, np.diag([2.0, 1.0]).astype(complex))
-    f_half = build_f(h_i, h_p, IDENTITY_GAUGE_2, 0.5)
-    assert np.array_equal(
-        f_half.entries, np.array([[1.75, 0.25], [0.25, 1.25]], dtype=complex)
-    )
+    assert np.array_equal(aux.sample(0.5), np.array([[1.75, 0.25], [0.25, 1.25]]))
     assert aux.shift(0.5) == 1.75
     with pytest.raises(ValueError):
         aux.sample(1.5)
@@ -93,18 +89,22 @@ def test_shift_mirrors_interpolated_top_eigenvalue():
 
 
 def test_sign_violation_surfaces_as_entry_negative():
+    # the counterexample, whose rotated h_i keeps positive off-diagonal entries
     h_i = pauli(2, [(-2.0, "XI"), (1.0, "IX"), (1.0, "IZ"), (-2.0, "XX")])
     h_p = DiagonalSpec.from_values(2, [0, 2, 6, 8])
-    gauge = extract_gauge(ground_state(h_i))
-    with pytest.raises(EntryNegative) as err:
-        build_f(h_i, h_p, gauge, 0.5)
-    assert (err.value.row, err.value.col) in {(0, 1), (1, 0), (2, 3), (3, 2)}
-    assert err.value.s == 0.5
+    aux = auxiliary_f(h_i, h_p, extract_gauge(ground_state(h_i)))
     # the violation scales with (1-s) but persists for every s < 1
-    with pytest.raises(EntryNegative):
-        build_f(h_i, h_p, gauge, 0.99)
-    f_end = build_f(h_i, h_p, gauge, 1.0)  # pure diagonal piece is fine
-    assert np.min(f_end.entries.real) >= 0.0
+    for s in (0.5, 0.99):
+        with pytest.raises(EntryNegative) as err:
+            perron._check_entrywise_nonnegative(aux.sample(s), s)
+        assert (err.value.row, err.value.col) in {(0, 1), (1, 0), (2, 3), (3, 2)}
+        assert err.value.s == s
+        assert f"entry ({err.value.row}, {err.value.col})" in str(err.value)
+    f_end = aux.sample(1.0)  # pure diagonal piece is fine
+    assert np.array_equal(perron._check_entrywise_nonnegative(f_end, 1.0), f_end > 0)
+    chain = verify_proof_chain_pair(h_i, h_p, aux.gauge, [0.5, 0.99, 1.0])
+    assert [sample.nonnegative for sample in chain.samples] == [False, False, True]
+    assert all("is not nonnegative" in sample.note for sample in chain.samples[:2])
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,6 @@ from gapcert.spectral import (
     EigensolverError,
     EigenSystem,
     GroundState,
-    degeneracy_tolerance,
     eigensystem,
     fix_phase,
     ground_state,
@@ -154,7 +153,44 @@ def test_degenerate_ground_flagged():
     # near-degeneracy below the scaled threshold is flagged too
     h = np.diag([0.0, 1e-10, 1.0]).astype(complex)
     assert not ground_state(h).is_unique
-    assert degeneracy_tolerance(np.array([0.0, 1e-10, 1.0])) > 1e-10
+
+
+def test_ground_state_is_one_solve(solve_log):
+    ground_state(random_hermitian(np.random.default_rng(6), 8))
+    assert solve_log == [2]
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_gershgorin_width_never_below_spectral_width(dtype):
+    rng = np.random.default_rng(20261018)
+    for d in (1, 2, 3, 5, 8, 16, 33):
+        for scale in (1e-6, 1.0, 1e4):
+            h = random_hermitian(rng, d) * scale
+            h = h.real if dtype is float else h
+            values = np.linalg.eigvalsh(h)
+            assert spectral._gershgorin_width(h) >= values[-1] - values[0]
+
+
+def test_gap_below_the_gershgorin_scale_is_not_unique():
+    # a dense rotation of diag(0, gap, 5, 10): spectral width 10, Gershgorin
+    # width far larger, and a gap between the two degeneracy tolerances
+    q, _ = np.linalg.qr(np.random.default_rng(7).standard_normal((4, 4)))
+
+    def rotated(gap):
+        h = q @ np.diag([0.0, gap, 5.0, 10.0]) @ q.T
+        return (h + h.T) / 2.0
+
+    h = rotated(0.0)
+    radii = np.sum(np.abs(h), axis=1) - np.abs(np.diag(h))
+    gershgorin = float(np.max(np.diag(h) + radii) - np.min(np.diag(h) - radii))
+    assert gershgorin > 15.0
+    gap = spectral.DEGENERACY_RTOL * (1.0 + (10.0 + gershgorin) / 2.0)
+    h = rotated(gap)
+    values = np.linalg.eigvalsh(h)
+    exact = spectral.DEGENERACY_RTOL * (1.0 + values[-1] - values[0])
+    gs = ground_state(h)
+    assert exact < gs.degeneracy_gap < spectral.DEGENERACY_RTOL * (1.0 + gershgorin)
+    assert not gs.is_unique
 
 
 def test_one_dimensional_ground_gap_infinite():

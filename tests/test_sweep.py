@@ -216,6 +216,13 @@ def test_sweep_levels_and_vectors_from_the_seam(kind, monkeypatch):
         assert np.max(np.abs(v.conj().T @ v - np.eye(4))) <= 1e-12
 
 
+def test_sweep_reuses_its_first_grid_point_for_the_norm_bound(solve_log):
+    # the bound needs both extremes of h_i; the bottom one is levels[0, 0]
+    profile = sweep_pair(SEAM_PAIRS["real"], SEAM_HP, grid_points=41, m_levels=3)
+    assert solve_log.count(1) == 1
+    assert solve_log.count(3) == profile.grid.size
+
+
 def reference_low_spectrum(h, m):
     """Full complex ``eigvalsh``: the sweep's solve before the seam (levels
     only, so it stands in for sweeps that keep no vectors)."""
@@ -339,8 +346,9 @@ def test_estimate_runtime_rejects_bad_inputs():
     with pytest.raises(ValueError, match="eigenvectors"):
         estimate_runtime(SEARCH_INSTANCE, no_vectors)
     ok = gap_sweep(SEARCH_INSTANCE, grid_points=21)
-    with pytest.raises(ValueError, match="positive"):
-        estimate_runtime(SEARCH_INSTANCE, ok, target_epsilon=0.0)
+    for eps in (0.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="positive and finite"):
+            estimate_runtime(SEARCH_INSTANCE, ok, target_epsilon=eps)
 
 
 def test_estimate_runtime_tabulated_schedule_runs():
