@@ -17,6 +17,7 @@ from .perron import default_chain_grid, render_chain_text, verify_proof_chain
 from .specfile import InstanceSpec, parse_instance, serialize_instance
 from .sweep import (
     CrossingPresent,
+    check_target_epsilon,
     estimate_runtime,
     export_profile,
     schedule_sweep,
@@ -182,6 +183,7 @@ def _cmd_blocks(args) -> int:
 
 def _cmd_estimate(args) -> int:
     instance = _load_instance(args.file)
+    check_target_epsilon(args.eps)  # before the sweep pays for every grid solve
     profile = schedule_sweep(
         instance, grid_points=args.grid, m_levels=args.levels, keep_vectors=True
     )

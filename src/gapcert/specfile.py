@@ -102,15 +102,29 @@ class ScheduleSpec:
         if b[0] != 0.0 or b[-1] != 1.0 or any(y < x for x, y in zip(b, b[1:])):
             raise ValueError("coefficient b must increase monotonically from 0 to 1")
 
+    def _columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The tabulated samples' t/T, a and b, as three arrays."""
+        ts, a, b = zip(*self.samples)
+        return np.array(ts), np.array(a), np.array(b)
+
     def coefficients(self, tau) -> tuple[np.ndarray, np.ndarray]:
         """Evaluate (a, b) at scaled times ``tau`` in [0, 1]."""
         tau = np.asarray(tau, dtype=float)
         if self.kind == "linear":
             return 1.0 - tau, tau.copy()
-        ts = np.array([t for t, _, _ in self.samples])
-        a = np.array([x for _, x, _ in self.samples])
-        b = np.array([x for _, _, x in self.samples])
+        ts, a, b = self._columns()
         return np.interp(tau, ts, a), np.interp(tau, ts, b)
+
+    def slopes(self, tau) -> tuple[np.ndarray, np.ndarray]:
+        """Derivatives (da/dt, db/dt) at scaled times ``tau`` in [0, 1): at a
+        sample time, those of the segment that starts there."""
+        tau = np.asarray(tau, dtype=float)
+        if self.kind == "linear":
+            return np.full(tau.shape, -1.0), np.full(tau.shape, 1.0)
+        ts, a, b = self._columns()
+        segment = np.clip(np.searchsorted(ts, tau, side="right") - 1, 0, ts.size - 2)
+        dt = np.diff(ts)
+        return (np.diff(a) / dt)[segment], (np.diff(b) / dt)[segment]
 
 
 LINEAR = ScheduleSpec("linear")

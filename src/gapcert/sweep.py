@@ -4,13 +4,19 @@ A sweep samples the lowest ``m`` levels of ``a(t) h_i + b(t) h_p`` on a
 uniform grid over the half-open interval [0, 1 - 1/grid_points] (the
 endpoint itself is irrelevant to validity: a crossing exactly at the end
 does no harm).  The first gap is scanned for (near-)closings: every local
-minimum that could hide a closing is refined off-grid by bounded
-minimization, minima below ``1e-8 * (1 + spectral width)`` are reported
-as crossings, and ``min_gap`` always refers to the refined minimum so it
-does not depend on whether the true minimizer lands on a grid point.
-Every solve, at a grid point or inside the refinement, goes through
-:func:`~gapcert.spectral.low_spectrum` and computes only the levels it
-reports.
+minimum that could hide a closing is refined off-grid, minima below
+``1e-8 * (1 + spectral width)`` are reported as crossings, and ``min_gap``
+always refers to the refined minimum so it does not depend on whether the
+true minimizer lands on a grid point.  Every solve, at a grid point or
+inside the refinement, goes through :func:`~gapcert.spectral.low_spectrum`
+and computes only the levels it reports.
+
+The refinement is guided by the gap's slope, which every solve gives
+almost for free: by the Hellmann--Feynman theorem a level moves as
+``<psi| dH/ds |psi>``, and ``low_spectrum`` returns checked eigenvectors.
+Where the slopes at the two ends of a grid step go (-, +), the slope's
+root is found there to ``REFINE_XATOL``; any other step is probed at its
+two golden-section points first, where a dip hidden inside it shows.
 
 ``estimate_runtime`` turns a crossing-free profile into the standard
 worst-case adiabatic ratio ``max |<psi_m| dH |psi_0>| / gap_m**2`` over
@@ -26,7 +32,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.optimize import minimize_scalar
+from scipy.optimize import OptimizeResult, brentq, minimize_scalar
 
 from .paulialg import HermitianMatrix, diagonal_values
 from .specfile import LINEAR, InstanceSpec, ScheduleSpec
@@ -34,7 +40,8 @@ from .spectral import DEGENERACY_RTOL, low_spectrum, top_eigenvalue
 
 # A refined gap minimum below CROSSING_RTOL * (1 + spectral width) is a crossing.
 CROSSING_RTOL = 1e-8
-# Reported crossing locations are refined to this absolute accuracy in s.
+# Where the gap's slope changes sign from - to + between two solved points,
+# its root (the reported location) is found to this absolute accuracy in s.
 REFINE_XATOL = 1e-12
 
 
@@ -93,15 +100,73 @@ class GapProfile:
 
 
 def _schedule_max_slopes(schedule: ScheduleSpec) -> tuple[float, float]:
-    if schedule.kind == "linear":
-        return 1.0, 1.0
-    ts = np.array([t for t, _, _ in schedule.samples])
-    a = np.array([x for _, x, _ in schedule.samples])
-    b = np.array([x for _, _, x in schedule.samples])
-    dt = np.diff(ts)
-    return float(np.max(np.abs(np.diff(a)) / dt)), float(
-        np.max(np.abs(np.diff(b)) / dt)
-    )
+    starts = [0.0] if schedule.kind == "linear" else [t for t, _, _ in schedule.samples[:-1]]
+    da, db = schedule.slopes(starts)
+    return float(np.max(np.abs(da))), float(np.max(np.abs(db)))
+
+
+def _gap_slopes(levels, diag_means, a, b, da, db) -> np.ndarray:
+    """The first gap's slope dg/ds, at one point or at a run of points.
+
+    ``levels`` and ``diag_means`` hold, along their first axis, the two
+    lowest levels ``E_j`` and their ``<D>_j`` with ``D = diag(hp)``; the
+    schedule values ``a``, ``b`` and slopes ``da``, ``db`` broadcast against
+    the rest.  By Hellmann--Feynman ``E_j' = a' <h_i>_j + b' <D>_j``, and
+    ``<h_i>_j = (E_j - b <D>_j) / a``.  Where ``a = 0`` that quotient is
+    undefined but not needed: ``a`` falls monotonically to 0 and stays
+    there, so its right-hand slope ``a'`` (what
+    :meth:`~gapcert.specfile.ScheduleSpec.slopes` gives) is 0 too.
+    """
+    h_i_means = (levels - b * diag_means) / np.where(a == 0.0, 1.0, a)
+    level_slopes = da * h_i_means + db * diag_means
+    return level_slopes[1] - level_slopes[0]
+
+
+# Golden-section fraction: where a bounded search of a bracket probes first.
+_GOLDEN = 0.5 * (3.0 - 5.0**0.5)
+
+
+def _slope_guided(fun, args, bracket, bounds, known, xatol) -> OptimizeResult:
+    """``minimize_scalar`` method of the crossing refinement.
+
+    ``bracket`` lists two or three consecutive grid points and ``fun(s)``
+    returns ``(gap, slope)``.  ``known`` maps every point solved so far,
+    each bracket point included, to that pair; it grows in place, so a
+    point shared with an earlier candidate is never solved twice and
+    ``nfev`` counts new solves only.  ``bounds`` is unused.
+
+    A grid step whose end slopes go (-, +) holds a minimum: the slope's
+    root is found there to ``xatol``, starting from the known end values.
+    Any other step first gets its two golden-section probes, which is
+    where a dip hidden inside it shows, and each of the three pieces they
+    leave whose end slopes go (-, +) is refined the same way.  The result
+    is the smallest gap evaluated strictly between the bracket's grid
+    points.
+    """
+    nfev = 0
+    inside: list[float] = []
+
+    def evaluate(s: float) -> tuple[float, float]:
+        nonlocal nfev
+        if s not in known:
+            known[s] = fun(s, *args)
+            nfev += 1
+        if s not in bracket:
+            inside.append(s)
+        return known[s]
+
+    for lo, hi in zip(bracket, bracket[1:]):
+        points: tuple[float, ...] = (lo, hi)
+        if not known[lo][1] < 0.0 < known[hi][1]:
+            probes = (lo + _GOLDEN * (hi - lo), hi - _GOLDEN * (hi - lo))
+            for s in probes:
+                evaluate(s)
+            points = (lo, *probes, hi)
+        for left, right in zip(points, points[1:]):
+            if known[left][1] < 0.0 < known[right][1]:
+                brentq(lambda s: evaluate(s)[1], left, right, xtol=xatol, disp=False)
+    s_best = min(inside, key=lambda s: known[s][0])
+    return OptimizeResult(x=s_best, fun=known[s_best][0], nfev=nfev, success=True)
 
 
 def sweep_pair(
@@ -139,20 +204,28 @@ def sweep_pair(
         return op
 
     levels = np.empty((grid_points, m_levels))
+    # <psi_j|diag(hp)|psi_j> for j = 0, 1: with the levels, all that the
+    # refinement's slopes need of each grid point's eigenvectors.
+    diag_means = np.empty((grid_points, 2))
     vectors = np.empty((grid_points, d, m_levels), dtype=A.dtype) if keep_vectors else None
     for idx in range(grid_points):
         values, vecs = low_spectrum(operator_at(a[idx], b[idx]), m_levels)
         levels[idx] = values
+        diag_means[idx] = hp @ np.abs(vecs[:, :2]) ** 2
         if vectors is not None:
             vectors[idx] = vecs
     gap1 = levels[:, 1] - levels[:, 0]
+    slopes = _gap_slopes(levels[:, :2].T, diag_means.T, a, b, *schedule.slopes(grid))
     width = float(levels.max() - levels.min())
     tolerance = CROSSING_RTOL * (1.0 + width)
 
-    def gap_at(tau: float) -> float:
-        aa, bb = schedule.coefficients(np.array([tau]))
-        w = low_spectrum(operator_at(aa[0], bb[0]), 2)[0]
-        return float(w[1] - w[0])
+    def gap_and_slope(tau: float) -> tuple[float, float]:
+        at = np.array([tau])
+        (aa,), (bb,) = schedule.coefficients(at)
+        (da,), (db,) = schedule.slopes(at)
+        w, pair = low_spectrum(operator_at(aa, bb), 2)
+        slope = _gap_slopes(w, hp @ np.abs(pair) ** 2, aa, bb, da, db)
+        return float(w[1] - w[0]), float(slope)
 
     # Any true closing between grid points leaves a local minimum whose
     # grid value is at most (gap slope) * (grid step); only those need a
@@ -180,11 +253,15 @@ def sweep_pair(
     )
 
     refined: list[tuple[int, float, float]] = []
+    known: dict[float, tuple[float, float]] = {}
     for k in sorted(candidates):
-        lo = grid[max(k - 1, 0)]
-        hi = grid[min(k + 1, grid_points - 1)]
+        around = range(max(k - 1, 0), min(k + 2, grid_points))
+        known.update((float(grid[j]), (float(gap1[j]), float(slopes[j]))) for j in around)
         result = minimize_scalar(
-            gap_at, bounds=(lo, hi), method="bounded", options={"xatol": REFINE_XATOL}
+            gap_and_slope,
+            bracket=tuple(float(grid[j]) for j in around),
+            method=_slope_guided,
+            options={"known": known, "xatol": REFINE_XATOL},
         )
         s_star, g_star = float(result.x), float(result.fun)
         if gap1[k] < g_star:  # keep the better of grid vs refined
@@ -272,6 +349,12 @@ class RuntimeEstimate:
     worst_level: int
 
 
+def check_target_epsilon(target_epsilon: float) -> None:
+    """Raise ``ValueError`` unless the error budget is positive and finite."""
+    if not 0.0 < target_epsilon < np.inf:
+        raise ValueError(f"target_epsilon must be positive and finite, got {target_epsilon}")
+
+
 def estimate_runtime(
     instance: InstanceSpec,
     profile: GapProfile,
@@ -297,8 +380,7 @@ def estimate_runtime(
         )
     if profile.vectors is None:
         raise ValueError("profile must retain eigenvectors (keep_vectors=True)")
-    if not 0.0 < target_epsilon < np.inf:
-        raise ValueError(f"target_epsilon must be positive and finite, got {target_epsilon}")
+    check_target_epsilon(target_epsilon)
 
     A = instance.h_i_matrix().entries
     hp = diagonal_values(instance.h_p, A.shape[0])

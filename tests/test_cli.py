@@ -260,6 +260,15 @@ def test_estimate_rejects_a_non_finite_eps(run, spec_file, eps):
     assert err == f"error: target_epsilon must be positive and finite, got {eps}\n"
 
 
+@pytest.mark.parametrize("eps", ["nan", "0"])
+def test_estimate_checks_eps_before_it_sweeps(run, spec_file, solve_log, eps):
+    code, out, err = run("estimate", spec_file(STOQUASTIC), "--grid", "1001", "--eps", eps)
+    assert code == 1
+    assert out == ""
+    assert err == f"error: target_epsilon must be positive and finite, got {float(eps)}\n"
+    assert solve_log == []
+
+
 def test_estimate_refuses_crossing_profile(run, spec_file):
     code, out, err = run("estimate", spec_file(COUNTEREXAMPLE), "--grid", "201")
     assert code == 1

@@ -9,7 +9,9 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import minimize_scalar
 
+from gapcert.cases import CaseParams, build_case
 from gapcert.paulialg import (
     DiagonalSpec,
     HermitianMatrix,
@@ -18,7 +20,7 @@ from gapcert.paulialg import (
     build_pauli,
 )
 from gapcert import sweep as sweep_module
-from gapcert.specfile import InstanceSpec, ScheduleSpec, parse_instance
+from gapcert.specfile import LINEAR, InstanceSpec, ScheduleSpec, parse_instance
 from gapcert.sweep import (
     CrossingPresent,
     GapProfile,
@@ -224,9 +226,10 @@ def test_sweep_reuses_its_first_grid_point_for_the_norm_bound(solve_log):
 
 
 def reference_low_spectrum(h, m):
-    """Full complex ``eigvalsh``: the sweep's solve before the seam (levels
-    only, so it stands in for sweeps that keep no vectors)."""
-    return np.linalg.eigvalsh(np.asarray(h, dtype=complex))[:m], None
+    """Full complex ``eigh``: the sweep's solve before the seam.  The
+    vectors are returned because the refinement takes its slopes from them."""
+    values, vectors = np.linalg.eigh(np.asarray(h, dtype=complex))
+    return values[:m], vectors[:, :m]
 
 
 def test_seam_agrees_with_full_complex_reference(monkeypatch):
@@ -260,6 +263,123 @@ def test_seam_agrees_with_full_complex_reference(monkeypatch):
                 1e-10 * reference.min_gap.value
             )
     assert crossings == 1 and len(pieces) > 25
+
+
+# ---------------------------------------------------------------------------
+# slope-guided refinement
+
+
+def test_counterexample_crossing_located_to_refine_xatol():
+    # the counterexample's levels cross exactly at s = 1/2, halfway between
+    # two points of the 1001-point grid
+    profile = gap_sweep(parse_instance(COUNTEREXAMPLE_TEXT), grid_points=1001, keep_vectors=False)
+    (crossing,) = profile.crossings
+    assert abs(crossing.s_star - 0.5) <= 1e-10
+    assert crossing.gap_star <= 1e-12 * (1.0 + profile.spectral_width)
+
+
+def hidden_dip_instance():
+    """n = 8 single-bit rotations, drawn like the criterion-2 corpus."""
+    rng = np.random.default_rng(1)
+    params = CaseParams(
+        "bit_rotation", 8,
+        a0=float(rng.uniform(-2, 2)),
+        ai=tuple(float(-rng.uniform(0.1, 2.0)) for _ in range(8)),
+    )
+    return build_case(params, DiagonalSpec.from_values(8, rng.uniform(0.0, 10.0, size=256)))
+
+
+def test_refinement_finds_a_dip_hidden_inside_the_last_step():
+    instance = hidden_dip_instance()
+    profile = gap_sweep(instance, grid_points=17, keep_vectors=False)
+    gap1, grid = profile.gap1, profile.grid
+    h_i = instance.h_i_matrix().entries
+    hp = np.array(instance.h_p.values)
+
+    def gap_at(s):
+        w = np.linalg.eigvalsh((1.0 - s) * h_i + np.diag(s * hp))
+        return w[1] - w[0]
+
+    # on the grid the gap is smallest at the last point, and it is still
+    # falling there: its slope points out of the sweep interval
+    assert int(np.argmin(gap1)) == grid.size - 1
+    assert gap_at(grid[-1] + 1e-7) < gap1[-1]
+
+    # fine reference over the last step: a scan, then a bounded search
+    # around its lowest sample
+    scan = np.linspace(grid[-2], grid[-1], 41)
+    j = int(np.argmin([gap_at(s) for s in scan]))
+    reference = minimize_scalar(
+        gap_at, bounds=(scan[max(j - 1, 0)], scan[min(j + 1, scan.size - 1)]),
+        method="bounded", options={"xatol": 1e-12},
+    )
+    assert grid[-2] < reference.x < grid[-1]
+    assert 10.0 * reference.fun <= gap1[-1]
+    assert abs(profile.min_gap.value - reference.fun) <= 1e-10 * (1.0 + profile.spectral_width)
+    assert grid[-2] < profile.min_gap.s < grid[-1]
+    assert not profile.crossings
+
+
+SLOPE_CASES = {
+    "real": (SEAM_PAIRS["real"], SEAM_HP, LINEAR),
+    "complex": (SEAM_PAIRS["complex"], SEAM_HP, LINEAR),
+    # a reaches 0 at t = 0.6; b is flat on [0.6, 0.8], so is the gap, and
+    # every grid point there is a local minimum that gets refined
+    "a reaches 0 early": (
+        SEAM_PAIRS["real"],
+        SEAM_HP,
+        ScheduleSpec(
+            "tabulated",
+            ((0.0, 1.0, 0.0), (0.3, 0.5, 0.2), (0.6, 0.0, 0.7), (0.8, 0.0, 0.7), (1.0, 0.0, 1.0)),
+        ),
+    ),
+    # levels that cross at s = 1/2
+    "crossing": (MIXED_DRIVER.h_i_matrix(), np.array(MIXED_DRIVER.h_p.values), LINEAR),
+    # the first excited level of I - |u><u| is (d - 1)-fold at s = 0
+    "projector_uniform": (
+        InstanceSpec(3, ProjectorSpec.uniform(3), DiagonalSpec.from_values(3, SEAM_HP)).h_i_matrix(),
+        SEAM_HP,
+        LINEAR,
+    ),
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("case", sorted(SLOPE_CASES))
+def test_slopes_are_finite_and_refinement_agrees_with_complex_eigh(case, monkeypatch):
+    h_i, hp, schedule = SLOPE_CASES[case]
+    returned = []
+    gap_slopes = sweep_module._gap_slopes
+
+    def recording(*args):
+        returned.append(gap_slopes(*args))
+        return returned[-1]
+
+    monkeypatch.setattr(sweep_module, "_gap_slopes", recording)
+    seam = sweep_pair(h_i, hp, grid_points=41, schedule=schedule, keep_vectors=False)
+    assert len(returned) > 1  # the grid pass, then every refinement solve
+    assert all(np.isfinite(slopes).all() for slopes in returned)
+
+    # grid slopes against a one-sided difference of the exact gap, away
+    # from the degenerate excited level at s = 0
+    a, b = schedule.coefficients(seam.grid)
+    da, db = schedule.slopes(seam.grid)
+    delta = 1e-7
+    for idx in range(1, seam.grid.size):
+        ahead = (a[idx] + delta * da[idx]) * h_i.entries + np.diag((b[idx] + delta * db[idx]) * hp)
+        w = np.linalg.eigvalsh(ahead)
+        difference = (w[1] - w[0] - seam.gap1[idx]) / delta
+        assert abs(returned[0][idx] - difference) <= 1e-5 * (1.0 + seam.spectral_width)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(sweep_module, "low_spectrum", reference_low_spectrum)
+        reference = sweep_pair(h_i, hp, grid_points=41, schedule=schedule, keep_vectors=False)
+    assert [(c.s_lo, c.s_hi) for c in seam.crossings] == [
+        (c.s_lo, c.s_hi) for c in reference.crossings
+    ]
+    assert len(seam.crossings) == (case == "crossing")
+    scale = 1.0 + reference.spectral_width
+    assert abs(seam.min_gap.value - reference.min_gap.value) <= 1e-12 * scale
 
 
 # ---------------------------------------------------------------------------
