@@ -30,7 +30,7 @@ def main():
     print(render_text(report))
 
     print("sweeping 1001 grid points...")
-    profile = gap_sweep(instance, grid_points=1001, keep_vectors=False)
+    profile = gap_sweep(instance, grid_points=1001)
     print(summarize_profile(profile))
     for c in profile.crossings:
         print(

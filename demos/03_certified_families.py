@@ -27,7 +27,7 @@ def certify_plain(params):
     h_p = DiagonalSpec.from_values(params.n_qubits, rng.uniform(0, 10, size=d))
     instance = build_case(params, h_p)
     report = certify(instance)
-    profile = gap_sweep(instance, grid_points=501, keep_vectors=False)
+    profile = gap_sweep(instance, grid_points=501)
     print(
         f"{params.family:22s} n={params.n_qubits}  verdict={report.overall:13s} "
         f"min_gap={profile.min_gap.value:.4f} at s={profile.min_gap.s:.3f}  "
@@ -49,9 +49,7 @@ def certify_blocky(params):
         )
         if len(block.basis_indices) >= 2:
             h_i_block, diag = block_pair(instance, block.k)
-            profile = sweep_pair(
-                h_i_block, diag, grid_points=501, m_levels=2, keep_vectors=False
-            )
+            profile = sweep_pair(h_i_block, diag, grid_points=501, m_levels=2)
             line += (
                 f", block min_gap {profile.min_gap.value:.4f}"
                 f", crossings {len(profile.crossings)}"

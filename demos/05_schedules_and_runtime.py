@@ -59,7 +59,7 @@ def main():
         )
 
     for label, profile in (("linear", linear), ("slow-middle", tabulated)):
-        estimate = estimate_runtime(instance, profile, target_epsilon=0.1)
+        estimate = estimate_runtime(profile, target_epsilon=0.1)
         print(
             f"\n{label}: worst ratio {estimate.worst_ratio:.4f} at "
             f"t/T = {estimate.worst_s:.3f} (level {estimate.worst_level}) "

@@ -80,9 +80,7 @@ def _sweep_structured(profile) -> str:
 
 def _cmd_sweep(args) -> int:
     instance = _load_instance(args.file)
-    profile = schedule_sweep(
-        instance, grid_points=args.grid, m_levels=args.levels, keep_vectors=False
-    )
+    profile = schedule_sweep(instance, grid_points=args.grid, m_levels=args.levels)
     summary = summarize_profile(profile)
     if args.format == "text":
         _write_output(summary + "\n", args.out)
@@ -184,10 +182,8 @@ def _cmd_blocks(args) -> int:
 def _cmd_estimate(args) -> int:
     instance = _load_instance(args.file)
     check_target_epsilon(args.eps)  # before the sweep pays for every grid solve
-    profile = schedule_sweep(
-        instance, grid_points=args.grid, m_levels=args.levels, keep_vectors=True
-    )
-    estimate = estimate_runtime(instance, profile, target_epsilon=args.eps)
+    profile = schedule_sweep(instance, grid_points=args.grid, m_levels=args.levels)
+    estimate = estimate_runtime(profile, target_epsilon=args.eps)
     if args.format == "structured":
         text = (
             f"worst_ratio = {estimate.worst_ratio:.17g}\n"

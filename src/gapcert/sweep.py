@@ -11,19 +11,22 @@ true minimizer lands on a grid point.  Every solve, at a grid point or
 inside the refinement, goes through :func:`~gapcert.spectral.low_spectrum`
 and computes only the levels it reports.
 
-The refinement is guided by the gap's slope, which every solve gives
-almost for free: by the Hellmann--Feynman theorem a level moves as
-``<psi| dH/ds |psi>``, and ``low_spectrum`` returns checked eigenvectors.
-Where the slopes at the two ends of a grid step go (-, +), the slope's
-root is found there to ``REFINE_XATOL``; any other step is probed at its
-two golden-section points first, where a dip hidden inside it shows.
+Every solve also yields, for almost nothing, one block of Hellmann--Feynman
+matrix elements ``<psi_k| dH/ds |psi_j>`` (j = 0, 1) from its checked
+eigenvectors, with ``dH/ds = a' h_i + b' diag(h_p)`` at the schedule's
+one-sided slopes.  Its diagonal gives the gap's slope, which guides the
+refinement: where the slopes at the two ends of a grid step go (-, +), the
+slope's root is found there to ``REFINE_XATOL``; any other step is probed
+at its two golden-section points first, where a dip hidden inside it
+shows.  Its first column, ``<psi_k| dH/ds |psi_0>`` for k >= 1, is kept at
+every grid point as the profile's ``couplings``.
 
 ``estimate_runtime`` turns a crossing-free profile into the standard
 worst-case adiabatic ratio ``max |<psi_m| dH |psi_0>| / gap_m**2`` over
-the grid and all computed excited levels, and a suggested total time
-``worst_ratio / target_epsilon``.  A degenerate excited level counts as
-one: its numerator is the norm of ``dH |psi_0>`` projected onto the whole
-level, which does not depend on the basis the eigensolver picked in it.
+the grid and all computed excited levels, read from the couplings, and a
+suggested total time ``worst_ratio / target_epsilon``.  A degenerate
+excited level counts as one: its numerator is the norm of its couplings,
+which does not depend on the basis the eigensolver picked in it.
 """
 
 from __future__ import annotations
@@ -70,9 +73,10 @@ class GapProfile:
 
     ``grid`` holds the scaled times, ``levels`` the lowest eigenvalues
     (one row per grid point, ascending), ``gap1`` the first gap,
-    ``vectors`` the matching eigenvectors when retained (shape
-    ``(points, d, m)``, real when ``h_i`` is real), and ``schedule`` the
-    coefficient functions the sweep used (linear for plain sweeps).
+    ``couplings`` the matrix elements ``<psi_k| dH/ds |psi_0>`` for
+    k = 1..m-1 (shape ``(points, m - 1)``, real when the eigenvectors
+    are), and ``schedule`` the coefficient functions the sweep used
+    (linear for plain sweeps).
     """
 
     grid: np.ndarray
@@ -82,17 +86,17 @@ class GapProfile:
     crossings: tuple[CrossingInterval, ...]
     spectral_width: float
     schedule: ScheduleSpec
-    vectors: np.ndarray | None = None
+    couplings: np.ndarray
 
     def __post_init__(self) -> None:
         if self.levels.ndim != 2 or self.levels.shape[0] != self.grid.size:
             raise ValueError("levels shape inconsistent with grid")
         if self.gap1.shape != (self.grid.size,):
             raise ValueError("gap1 shape inconsistent with grid")
-        for array in (self.grid, self.levels, self.gap1):
+        if self.couplings.shape != (self.grid.size, self.levels.shape[1] - 1):
+            raise ValueError("couplings shape inconsistent with levels")
+        for array in (self.grid, self.levels, self.gap1, self.couplings):
             array.flags.writeable = False
-        if self.vectors is not None:
-            self.vectors.flags.writeable = False
 
     @property
     def crossing_tolerance(self) -> float:
@@ -105,21 +109,18 @@ def _schedule_max_slopes(schedule: ScheduleSpec) -> tuple[float, float]:
     return float(np.max(np.abs(da))), float(np.max(np.abs(db)))
 
 
-def _gap_slopes(levels, diag_means, a, b, da, db) -> np.ndarray:
-    """The first gap's slope dg/ds, at one point or at a run of points.
+def _hellmann_feynman(A, hp, vecs, da, db) -> tuple[float, np.ndarray]:
+    """The gap's slope and the couplings at one solved point.
 
-    ``levels`` and ``diag_means`` hold, along their first axis, the two
-    lowest levels ``E_j`` and their ``<D>_j`` with ``D = diag(hp)``; the
-    schedule values ``a``, ``b`` and slopes ``da``, ``db`` broadcast against
-    the rest.  By Hellmann--Feynman ``E_j' = a' <h_i>_j + b' <D>_j``, and
-    ``<h_i>_j = (E_j - b <D>_j) / a``.  Where ``a = 0`` that quotient is
-    undefined but not needed: ``a`` falls monotonically to 0 and stays
-    there, so its right-hand slope ``a'`` (what
-    :meth:`~gapcert.specfile.ScheduleSpec.slopes` gives) is 0 too.
+    ``vecs`` holds the point's eigenvectors of ``a h_i + b diag(hp)``
+    (``A`` is ``h_i``'s array) and ``da``, ``db`` the schedule's slopes
+    there.  The block ``<psi_k| dH/ds |psi_j>``, j = 0, 1, gives the gap's
+    slope ``E_1' - E_0'`` on its diagonal (Hellmann--Feynman) and the
+    couplings ``<psi_k| dH/ds |psi_0>``, k >= 1, in its first column.
     """
-    h_i_means = (levels - b * diag_means) / np.where(a == 0.0, 1.0, a)
-    level_slopes = da * h_i_means + db * diag_means
-    return level_slopes[1] - level_slopes[0]
+    pair = vecs[:, :2]
+    block = vecs.conj().T @ (da * (A @ pair) + db * (hp[:, None] * pair))
+    return float((block[1, 1] - block[0, 0]).real), block[1:, 0]
 
 
 # Golden-section fraction: where a bounded search of a bracket probes first.
@@ -175,7 +176,6 @@ def sweep_pair(
     grid_points: int = 1001,
     m_levels: int | None = None,
     schedule: ScheduleSpec = LINEAR,
-    keep_vectors: bool = True,
 ) -> GapProfile:
     """Sweep an explicit operator pair (see module docstring).
 
@@ -203,29 +203,26 @@ def sweep_pair(
         op[diagonal] += bb * hp
         return op
 
+    da, db = schedule.slopes(grid)
     levels = np.empty((grid_points, m_levels))
-    # <psi_j|diag(hp)|psi_j> for j = 0, 1: with the levels, all that the
-    # refinement's slopes need of each grid point's eigenvectors.
-    diag_means = np.empty((grid_points, 2))
-    vectors = np.empty((grid_points, d, m_levels), dtype=A.dtype) if keep_vectors else None
+    slopes = np.empty(grid_points)
+    # collected as returned, so their dtype is the eigenvectors' own
+    couplings = []
     for idx in range(grid_points):
         values, vecs = low_spectrum(operator_at(a[idx], b[idx]), m_levels)
         levels[idx] = values
-        diag_means[idx] = hp @ np.abs(vecs[:, :2]) ** 2
-        if vectors is not None:
-            vectors[idx] = vecs
+        slopes[idx], coupling = _hellmann_feynman(A, hp, vecs, da[idx], db[idx])
+        couplings.append(coupling)
     gap1 = levels[:, 1] - levels[:, 0]
-    slopes = _gap_slopes(levels[:, :2].T, diag_means.T, a, b, *schedule.slopes(grid))
     width = float(levels.max() - levels.min())
     tolerance = CROSSING_RTOL * (1.0 + width)
 
     def gap_and_slope(tau: float) -> tuple[float, float]:
         at = np.array([tau])
         (aa,), (bb,) = schedule.coefficients(at)
-        (da,), (db,) = schedule.slopes(at)
+        (da_t,), (db_t,) = schedule.slopes(at)
         w, pair = low_spectrum(operator_at(aa, bb), 2)
-        slope = _gap_slopes(w, hp @ np.abs(pair) ** 2, aa, bb, da, db)
-        return float(w[1] - w[0]), float(slope)
+        return float(w[1] - w[0]), _hellmann_feynman(A, hp, pair, da_t, db_t)[0]
 
     # Any true closing between grid points leaves a local minimum whose
     # grid value is at most (gap slope) * (grid step); only those need a
@@ -299,7 +296,7 @@ def sweep_pair(
         crossings=tuple(crossings),
         spectral_width=width,
         schedule=schedule,
-        vectors=vectors,
+        couplings=np.array(couplings),
     )
 
 
@@ -307,10 +304,9 @@ def gap_sweep(
     instance: InstanceSpec,
     grid_points: int = 1001,
     m_levels: int | None = None,
-    keep_vectors: bool = True,
 ) -> GapProfile:
     """Sweep the plain convex interpolation ``(1-s) h_i + s h_p``."""
-    return schedule_sweep(instance, LINEAR, grid_points, m_levels, keep_vectors)
+    return schedule_sweep(instance, LINEAR, grid_points, m_levels)
 
 
 def schedule_sweep(
@@ -318,7 +314,6 @@ def schedule_sweep(
     schedule: ScheduleSpec | None = None,
     grid_points: int = 1001,
     m_levels: int | None = None,
-    keep_vectors: bool = True,
 ) -> GapProfile:
     """Sweep ``a(t) h_i + b(t) h_p`` along a (possibly tabulated) schedule.
 
@@ -333,7 +328,6 @@ def schedule_sweep(
         grid_points=grid_points,
         m_levels=m_levels,
         schedule=schedule,
-        keep_vectors=keep_vectors,
     )
 
 
@@ -355,55 +349,36 @@ def check_target_epsilon(target_epsilon: float) -> None:
         raise ValueError(f"target_epsilon must be positive and finite, got {target_epsilon}")
 
 
-def estimate_runtime(
-    instance: InstanceSpec,
-    profile: GapProfile,
-    target_epsilon: float = 0.1,
-) -> RuntimeEstimate:
+def estimate_runtime(profile: GapProfile, target_epsilon: float = 0.1) -> RuntimeEstimate:
     """Worst-case ratio ``|<psi_m| dH |psi_0>| / gap_m**2`` over the grid.
 
-    Computed levels within ``DEGENERACY_RTOL * (1 + spectral width)`` of
-    each other form one level, whose numerator is the norm of the
-    overlaps with all its vectors and whose gap is that of its lowest
-    member; ``worst_level`` names that member.  A level that continues
-    past the highest computed one is summed over its computed members
-    only, so sweep with more levels if the top one is degenerate.
+    The numerators are the profile's ``couplings``.  Computed levels
+    within ``DEGENERACY_RTOL * (1 + spectral width)`` of each other form
+    one level, whose numerator is the norm of its members' couplings and
+    whose gap is that of its lowest member; ``worst_level`` names that
+    member.  A level that continues past the highest computed one is
+    summed over its computed members only, so sweep with more levels if
+    the top one is degenerate.
 
     Raises :class:`CrossingPresent` when the profile contains crossings
-    (the ratio diverges), and ``ValueError`` when the profile was swept
-    without retained eigenvectors or ``target_epsilon`` is not positive
-    and finite.
+    (the ratio diverges), and ``ValueError`` when ``target_epsilon`` is not
+    positive and finite.
     """
     if profile.crossings:
         raise CrossingPresent(
             "profile contains gap closings; the adiabatic ratio is undefined"
         )
-    if profile.vectors is None:
-        raise ValueError("profile must retain eigenvectors (keep_vectors=True)")
     check_target_epsilon(target_epsilon)
 
-    A = instance.h_i_matrix().entries
-    hp = diagonal_values(instance.h_p, A.shape[0])
     tolerance = DEGENERACY_RTOL * (1.0 + profile.spectral_width)
     grid = profile.grid
-    if profile.schedule.kind == "linear":
-        da = np.full(grid.size, -1.0)
-        db = np.full(grid.size, 1.0)
-    else:
-        a, b = profile.schedule.coefficients(grid)
-        da = np.gradient(a, grid)
-        db = np.gradient(b, grid)
-
     worst = 0.0
     worst_s = float(grid[0])
     worst_level = 1
     for idx in range(grid.size):
-        dh = da[idx] * A + np.diag(db[idx] * hp)
-        v0 = profile.vectors[idx][:, 0]
-        overlaps = profile.vectors[idx][:, 1:].conj().T @ (dh @ v0)
         gaps = profile.levels[idx, 1:] - profile.levels[idx, 0]
         starts = np.flatnonzero(np.diff(gaps, prepend=-np.inf) > tolerance)
-        weights = np.add.reduceat(np.abs(overlaps) ** 2, starts)
+        weights = np.add.reduceat(np.abs(profile.couplings[idx]) ** 2, starts)
         ratios = np.sqrt(weights) / gaps[starts] ** 2
         m = int(np.argmax(ratios))
         if ratios[m] > worst:

@@ -152,7 +152,7 @@ def test_criterion_01_counterexample_reproduction():
         assert np.max(np.abs(numeric - reference)) < 1e-10
         assert not report.condition2.passed
         assert any(v.value.real > 0 for v in report.condition2.violations)
-        profile = gap_sweep(instance, grid_points=1001, keep_vectors=False)
+        profile = gap_sweep(instance, grid_points=1001)
         assert len(profile.crossings) >= 1
         worst = min(profile.crossings, key=lambda c: c.gap_star)
         assert 0.0 < worst.s_star < 1.0
@@ -176,7 +176,6 @@ def test_criterion_02_family_certification_and_gap():
                     HermitianMatrix(np.diag(diag).astype(complex)),
                     grid_points=501,
                     m_levels=2,
-                    keep_vectors=False,
                 )
                 assert profile.min_gap.value > 0.0, (family, params)
                 assert not profile.crossings, (family, params)
@@ -277,7 +276,7 @@ def test_criterion_07_search_gap_closed_form():
         instance = InstanceSpec(
             1, ProjectorSpec.uniform(1), DiagonalSpec.from_values(1, [0.0, 1.0])
         )
-        profile = gap_sweep(instance, grid_points=1001, keep_vectors=False)
+        profile = gap_sweep(instance, grid_points=1001)
         s = profile.grid
         closed_form = np.sqrt(s**2 + (1.0 - s) ** 2)
         assert np.max(np.abs(profile.gap1 - closed_form)) < 1e-9
@@ -326,7 +325,6 @@ def test_criterion_08_schedule_rescaling_identity():
                     schedule=schedule,
                     grid_points=101,
                     m_levels=2,
-                    keep_vectors=False,
                 )
                 A = instance.h_i_matrix().entries
                 B = instance.h_p_matrix().entries
@@ -401,9 +399,7 @@ def test_criterion_10_dense_scale_check():
         instance = parse_instance(text)
         report = certify(instance)
         assert report.is_certified
-        profile = gap_sweep(
-            instance, grid_points=201, m_levels=4, keep_vectors=False
-        )
+        profile = gap_sweep(instance, grid_points=201, m_levels=4)
         assert profile.levels.shape == (201, 4)
         assert not profile.crossings
         assert profile.min_gap.value > 0.0

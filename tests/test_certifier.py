@@ -176,7 +176,7 @@ def test_hp_vector_and_matrix_forms_give_identical_results():
     vector = np.array(instance.h_p.values)
     gauge = certify(instance).gauge
     profiles = [
-        sweep_pair(h_i, h_p, grid_points=41, keep_vectors=False)
+        sweep_pair(h_i, h_p, grid_points=41)
         for h_p in (vector, instance.h_p_matrix())
     ]
     assert np.array_equal(profiles[0].levels, profiles[1].levels)
@@ -269,7 +269,7 @@ def test_certified_instances_show_no_crossing():
         instance = build_case(p)
         report = certify(instance)
         assert report.is_certified, p.family
-        profile = gap_sweep(instance, grid_points=501, keep_vectors=False)
+        profile = gap_sweep(instance, grid_points=501)
         assert not profile.crossings
         assert profile.min_gap.value > profile.crossing_tolerance
 

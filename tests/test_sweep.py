@@ -6,6 +6,7 @@ against sqrt(1 - 2 s (1 - s)) with no linear algebra in the oracle.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from gapcert.paulialg import (
 )
 from gapcert import sweep as sweep_module
 from gapcert.specfile import LINEAR, InstanceSpec, ScheduleSpec, parse_instance
+from gapcert.spectral import DEGENERACY_RTOL
 from gapcert.sweep import (
     CrossingPresent,
     GapProfile,
@@ -65,7 +67,7 @@ def test_search_instance_matches_closed_form_pointwise():
 def test_search_instance_minimum_refined_off_grid():
     # the true minimizer s = 1/2 is not a point of the half-open grid, so
     # the reported minimum must come from refinement
-    profile = gap_sweep(SEARCH_INSTANCE, grid_points=501, keep_vectors=False)
+    profile = gap_sweep(SEARCH_INSTANCE, grid_points=501)
     assert abs(profile.min_gap.value - 1.0 / math.sqrt(2.0)) < 1e-12
     assert abs(profile.min_gap.s - 0.5) < 1e-6
     assert not np.any(profile.grid == profile.min_gap.s)
@@ -80,7 +82,7 @@ def test_constant_diagonal_interpolation():
         DiagonalSpec.from_values(2, values),
         DiagonalSpec.from_values(2, values),
     )
-    profile = gap_sweep(instance, grid_points=101, keep_vectors=False)
+    profile = gap_sweep(instance, grid_points=101)
     assert np.max(np.abs(profile.gap1 - 1.0)) < 1e-12
     assert profile.min_gap.value == pytest.approx(1.0)
     assert not profile.crossings
@@ -91,7 +93,7 @@ def test_constant_diagonal_interpolation():
 
 
 def test_mixed_driver_crossing_found_and_bracketed():
-    profile = gap_sweep(MIXED_DRIVER, grid_points=501, keep_vectors=False)
+    profile = gap_sweep(MIXED_DRIVER, grid_points=501)
     assert len(profile.crossings) == 1
     crossing = profile.crossings[0]
     assert abs(crossing.s_star - 0.5) < 1e-6
@@ -105,7 +107,7 @@ def test_mixed_driver_crossing_found_and_bracketed():
 def test_crossing_survives_unaligned_grids():
     # neither 249 nor 500 points puts a node at s = 1/2
     for points in (249, 500):
-        profile = gap_sweep(MIXED_DRIVER, grid_points=points, keep_vectors=False)
+        profile = gap_sweep(MIXED_DRIVER, grid_points=points)
         assert len(profile.crossings) == 1, points
         assert abs(profile.crossings[0].s_star - 0.5) < 1e-6
 
@@ -115,7 +117,7 @@ def test_crossing_survives_unaligned_grids():
 
 
 def test_grid_is_half_open():
-    profile = gap_sweep(SEARCH_INSTANCE, grid_points=100, keep_vectors=False)
+    profile = gap_sweep(SEARCH_INSTANCE, grid_points=100)
     assert profile.grid[0] == 0.0
     assert profile.grid[-1] == pytest.approx(1.0 - 1.0 / 100)
 
@@ -125,7 +127,7 @@ def test_endpoint_levels_match_initial_operator():
     a = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
     h_i = HermitianMatrix((a + a.conj().T) / 2.0)
     h_p = HermitianMatrix(np.diag(rng.uniform(0, 5, size=8)).astype(complex))
-    profile = sweep_pair(h_i, h_p, grid_points=51, keep_vectors=False)
+    profile = sweep_pair(h_i, h_p, grid_points=51)
     want = np.linalg.eigvalsh(h_i.entries)[:4]
     assert np.max(np.abs(profile.levels[0] - want)) < 1e-10
 
@@ -137,7 +139,7 @@ def test_levels_move_no_faster_than_the_operator():
     a = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
     h_i = HermitianMatrix((a + a.conj().T) / 2.0)
     h_p = HermitianMatrix(np.diag(rng.uniform(-2, 6, size=8)).astype(complex))
-    profile = sweep_pair(h_i, h_p, grid_points=101, keep_vectors=False)
+    profile = sweep_pair(h_i, h_p, grid_points=101)
     step = profile.grid[1] - profile.grid[0]
     bound = step * float(
         np.max(np.abs(np.linalg.eigvalsh(h_i.entries - h_p.entries)))
@@ -147,15 +149,15 @@ def test_levels_move_no_faster_than_the_operator():
 
 
 def test_default_level_count_clamps_to_dimension():
-    small = gap_sweep(SEARCH_INSTANCE, grid_points=11, keep_vectors=False)
+    small = gap_sweep(SEARCH_INSTANCE, grid_points=11)
     assert small.levels.shape[1] == 2
     rng = np.random.default_rng(1)
     h = rng.standard_normal((16, 16))
     h_i = HermitianMatrix(((h + h.T) / 2).astype(complex))
     h_p = HermitianMatrix(np.diag(rng.uniform(0, 1, 16)).astype(complex))
-    full = sweep_pair(h_i, h_p, grid_points=11, keep_vectors=False)
+    full = sweep_pair(h_i, h_p, grid_points=11)
     assert full.levels.shape[1] == 4
-    explicit = sweep_pair(h_i, h_p, grid_points=11, m_levels=6, keep_vectors=False)
+    explicit = sweep_pair(h_i, h_p, grid_points=11, m_levels=6)
     assert explicit.levels.shape[1] == 6
 
 
@@ -170,13 +172,13 @@ def test_sweep_validation_errors():
         sweep_pair(h_i, h_p)
 
 
-def test_profile_arrays_frozen_and_vectors_optional():
+def test_profile_arrays_frozen_and_couplings_shape_checked():
     profile = gap_sweep(SEARCH_INSTANCE, grid_points=21)
-    assert profile.vectors is not None
-    assert profile.vectors.shape == (21, 2, 2)
-    for array in (profile.grid, profile.levels, profile.gap1, profile.vectors):
+    assert profile.couplings.shape == (21, 1)
+    for array in (profile.grid, profile.levels, profile.gap1, profile.couplings):
         assert not array.flags.writeable
-    assert gap_sweep(SEARCH_INSTANCE, grid_points=21, keep_vectors=False).vectors is None
+    with pytest.raises(ValueError, match="couplings"):
+        replace(profile, couplings=np.zeros((21, 2)))
     assert profile.crossing_tolerance == pytest.approx(
         1e-8 * (1.0 + profile.spectral_width)
     )
@@ -207,15 +209,12 @@ def test_sweep_levels_and_vectors_from_the_seam(kind, monkeypatch):
     monkeypatch.setattr(HermitianMatrix, "__post_init__", counting)
     profile = sweep_pair(h_i, SEAM_HP, grid_points=41)
     assert not built  # h_i is validated once, when it is built
-    assert profile.vectors.dtype == (complex if kind == "complex" else float)
+    assert profile.couplings.dtype == (complex if kind == "complex" else float)
     scale = 1.0 + profile.spectral_width
     for idx, s in enumerate(profile.grid):
         h = (1.0 - s) * h_i.entries + np.diag(s * SEAM_HP)
         want = np.linalg.eigvalsh(h)[:4]
         assert np.max(np.abs(profile.levels[idx] - want)) <= 1e-10 * scale
-        v = profile.vectors[idx]
-        assert np.max(np.abs(h @ v - v * profile.levels[idx])) <= 1e-10 * scale
-        assert np.max(np.abs(v.conj().T @ v - np.eye(4))) <= 1e-12
 
 
 def test_sweep_reuses_its_first_grid_point_for_the_norm_bound(solve_log):
@@ -244,10 +243,10 @@ def test_seam_agrees_with_full_complex_reference(monkeypatch):
     pieces.append((counterexample.h_i_matrix(), counterexample.h_p))
     crossings = 0
     for h_i, h_p in pieces:
-        seam = sweep_pair(h_i, h_p, grid_points=501, m_levels=2, keep_vectors=False)
+        seam = sweep_pair(h_i, h_p, grid_points=501, m_levels=2)
         with monkeypatch.context() as patch:
             patch.setattr(sweep_module, "low_spectrum", reference_low_spectrum)
-            reference = sweep_pair(h_i, h_p, grid_points=501, m_levels=2, keep_vectors=False)
+            reference = sweep_pair(h_i, h_p, grid_points=501, m_levels=2)
         scale = 1.0 + reference.spectral_width
         assert np.max(np.abs(seam.levels - reference.levels)) <= 1e-10 * scale
         assert [(c.s_lo, c.s_hi) for c in seam.crossings] == [
@@ -272,7 +271,7 @@ def test_seam_agrees_with_full_complex_reference(monkeypatch):
 def test_counterexample_crossing_located_to_refine_xatol():
     # the counterexample's levels cross exactly at s = 1/2, halfway between
     # two points of the 1001-point grid
-    profile = gap_sweep(parse_instance(COUNTEREXAMPLE_TEXT), grid_points=1001, keep_vectors=False)
+    profile = gap_sweep(parse_instance(COUNTEREXAMPLE_TEXT), grid_points=1001)
     (crossing,) = profile.crossings
     assert abs(crossing.s_star - 0.5) <= 1e-10
     assert crossing.gap_star <= 1e-12 * (1.0 + profile.spectral_width)
@@ -291,7 +290,7 @@ def hidden_dip_instance():
 
 def test_refinement_finds_a_dip_hidden_inside_the_last_step():
     instance = hidden_dip_instance()
-    profile = gap_sweep(instance, grid_points=17, keep_vectors=False)
+    profile = gap_sweep(instance, grid_points=17)
     gap1, grid = profile.gap1, profile.grid
     h_i = instance.h_i_matrix().entries
     hp = np.array(instance.h_p.values)
@@ -344,21 +343,46 @@ SLOPE_CASES = {
 }
 
 
+def recorded_blocks(monkeypatch):
+    """Every (gap slope, couplings) pair the sweep computes, in order."""
+    returned = []
+    block = sweep_module._hellmann_feynman
+
+    def recording(*args):
+        returned.append(block(*args))
+        return returned[-1]
+
+    monkeypatch.setattr(sweep_module, "_hellmann_feynman", recording)
+    return returned
+
+
+@pytest.mark.parametrize("case", ["real", "complex", "a reaches 0 early"])
+def test_couplings_and_grid_slopes_match_a_dense_block(case, monkeypatch):
+    h_i, hp, schedule = SLOPE_CASES[case]
+    returned = recorded_blocks(monkeypatch)
+    profile = sweep_pair(h_i, hp, grid_points=41, schedule=schedule)
+    a, b = schedule.coefficients(profile.grid)
+    da, db = schedule.slopes(profile.grid)
+    scale = 1.0 + profile.spectral_width
+    for idx in range(profile.grid.size):
+        _, v = np.linalg.eigh(a[idx] * h_i.entries + np.diag(b[idx] * hp))
+        v = v[:, :4]
+        dense = v.conj().T @ (da[idx] * h_i.entries + np.diag(db[idx] * hp)) @ v
+        # eigenvectors are fixed up to a phase each, so compare moduli
+        want = np.abs(dense[1:, 0])
+        assert np.max(np.abs(np.abs(profile.couplings[idx]) - want)) <= 1e-10 * scale
+        assert abs(returned[idx][0] - (dense[1, 1] - dense[0, 0]).real) <= 1e-10 * scale
+
+
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("case", sorted(SLOPE_CASES))
 def test_slopes_are_finite_and_refinement_agrees_with_complex_eigh(case, monkeypatch):
     h_i, hp, schedule = SLOPE_CASES[case]
-    returned = []
-    gap_slopes = sweep_module._gap_slopes
-
-    def recording(*args):
-        returned.append(gap_slopes(*args))
-        return returned[-1]
-
-    monkeypatch.setattr(sweep_module, "_gap_slopes", recording)
-    seam = sweep_pair(h_i, hp, grid_points=41, schedule=schedule, keep_vectors=False)
-    assert len(returned) > 1  # the grid pass, then every refinement solve
-    assert all(np.isfinite(slopes).all() for slopes in returned)
+    returned = recorded_blocks(monkeypatch)
+    seam = sweep_pair(h_i, hp, grid_points=41, schedule=schedule)
+    # every grid point, then every refinement solve
+    assert len(returned) > seam.grid.size
+    assert all(np.isfinite(slope) and np.isfinite(couplings).all() for slope, couplings in returned)
 
     # grid slopes against a one-sided difference of the exact gap, away
     # from the degenerate excited level at s = 0
@@ -369,11 +393,11 @@ def test_slopes_are_finite_and_refinement_agrees_with_complex_eigh(case, monkeyp
         ahead = (a[idx] + delta * da[idx]) * h_i.entries + np.diag((b[idx] + delta * db[idx]) * hp)
         w = np.linalg.eigvalsh(ahead)
         difference = (w[1] - w[0] - seam.gap1[idx]) / delta
-        assert abs(returned[0][idx] - difference) <= 1e-5 * (1.0 + seam.spectral_width)
+        assert abs(returned[idx][0] - difference) <= 1e-5 * (1.0 + seam.spectral_width)
 
     with monkeypatch.context() as patch:
         patch.setattr(sweep_module, "low_spectrum", reference_low_spectrum)
-        reference = sweep_pair(h_i, hp, grid_points=41, schedule=schedule, keep_vectors=False)
+        reference = sweep_pair(h_i, hp, grid_points=41, schedule=schedule)
     assert [(c.s_lo, c.s_hi) for c in seam.crossings] == [
         (c.s_lo, c.s_hi) for c in reference.crossings
     ]
@@ -405,9 +429,9 @@ def test_schedule_sweep_uses_instance_schedule_by_default():
         DiagonalSpec.from_values(1, [0.0, 1.0]),
         schedule=tabulated_example(),
     )
-    profile = schedule_sweep(instance, grid_points=51, keep_vectors=False)
+    profile = schedule_sweep(instance, grid_points=51)
     assert profile.schedule.kind == "tabulated"
-    linear = schedule_sweep(instance, schedule=None, grid_points=51, keep_vectors=False)
+    linear = schedule_sweep(instance, schedule=None, grid_points=51)
     assert linear.schedule is instance.schedule
 
 
@@ -416,9 +440,7 @@ def test_tabulated_gap_rescales_to_the_linear_profile():
     # sigma = b / (a + b): every tabulated gap is a scaled linear gap
     instance = MIXED_DRIVER
     schedule = tabulated_example()
-    profile = schedule_sweep(
-        instance, schedule=schedule, grid_points=101, keep_vectors=False
-    )
+    profile = schedule_sweep(instance, schedule=schedule, grid_points=101)
     A = instance.h_i_matrix().entries
     B = instance.h_p_matrix().entries
     a, b = schedule.coefficients(profile.grid)
@@ -442,7 +464,7 @@ def test_estimate_runtime_zero_for_commuting_pair():
         DiagonalSpec.from_values(2, [0.0, 2.0, 5.0, 9.0]),
     )
     profile = gap_sweep(instance, grid_points=51)
-    estimate = estimate_runtime(instance, profile, target_epsilon=0.05)
+    estimate = estimate_runtime(profile, target_epsilon=0.05)
     assert estimate.worst_ratio == 0.0
     assert estimate.suggested_T == 0.0
     assert estimate.target_epsilon == 0.05
@@ -450,7 +472,7 @@ def test_estimate_runtime_zero_for_commuting_pair():
 
 def test_estimate_runtime_search_instance_scale():
     profile = gap_sweep(SEARCH_INSTANCE, grid_points=1001)
-    estimate = estimate_runtime(SEARCH_INSTANCE, profile, target_epsilon=0.1)
+    estimate = estimate_runtime(profile, target_epsilon=0.1)
     # the hardest point is the avoided crossing: ratio ~ sqrt(2) there
     assert abs(estimate.worst_ratio - math.sqrt(2.0)) < 1e-3
     assert estimate.suggested_T == pytest.approx(estimate.worst_ratio / 0.1)
@@ -461,26 +483,61 @@ def test_estimate_runtime_search_instance_scale():
 def test_estimate_runtime_rejects_bad_inputs():
     crossing_profile = gap_sweep(MIXED_DRIVER, grid_points=201)
     with pytest.raises(CrossingPresent):
-        estimate_runtime(MIXED_DRIVER, crossing_profile)
-    no_vectors = gap_sweep(SEARCH_INSTANCE, grid_points=21, keep_vectors=False)
-    with pytest.raises(ValueError, match="eigenvectors"):
-        estimate_runtime(SEARCH_INSTANCE, no_vectors)
+        estimate_runtime(crossing_profile)
     ok = gap_sweep(SEARCH_INSTANCE, grid_points=21)
     for eps in (0.0, math.nan, math.inf):
         with pytest.raises(ValueError, match="positive and finite"):
-            estimate_runtime(SEARCH_INSTANCE, ok, target_epsilon=eps)
+            estimate_runtime(ok, target_epsilon=eps)
+
+
+def reference_estimate(instance, profile):
+    """(worst_ratio, worst_s, worst_level) from full ``eigh`` at every grid
+    point, with ``dH = a' h_i + b' diag(h_p)`` at the slope of the table
+    segment that starts at or before each point."""
+    times, a_col, b_col = np.array(instance.schedule.samples).T
+    A = instance.h_i_matrix().entries
+    hp = np.array(instance.h_p.values)
+    m = profile.levels.shape[1]
+    tolerance = DEGENERACY_RTOL * (1.0 + profile.spectral_width)
+    worst = (0.0, float(profile.grid[0]), 1)
+    for s in profile.grid:
+        k = int(np.searchsorted(times, s, side="right")) - 1
+        da = (a_col[k + 1] - a_col[k]) / (times[k + 1] - times[k])
+        db = (b_col[k + 1] - b_col[k]) / (times[k + 1] - times[k])
+        a, b = np.interp(s, times, a_col), np.interp(s, times, b_col)
+        w, v = np.linalg.eigh(a * A + np.diag(b * hp))
+        couplings = v[:, 1:m].conj().T @ (da * A + np.diag(db * hp)) @ v[:, 0]
+        gaps = w[1:m] - w[0]
+        first = 0
+        while first < m - 1:
+            last = first + 1
+            while last < m - 1 and gaps[last] - gaps[last - 1] <= tolerance:
+                last += 1
+            ratio = np.linalg.norm(couplings[first:last]) / gaps[first] ** 2
+            if ratio > worst[0]:
+                worst = (float(ratio), float(s), first + 1)
+            first = last
+    return worst
 
 
 def test_estimate_runtime_tabulated_schedule_runs():
-    instance = InstanceSpec(
-        1,
-        ProjectorSpec.uniform(1),
-        DiagonalSpec.from_values(1, [0.0, 1.0]),
-        schedule=tabulated_example(),
-    )
-    profile = schedule_sweep(instance, grid_points=101)
-    estimate = estimate_runtime(instance, profile)
-    assert estimate.worst_ratio > 0.0
+    # [0, 5]: the worst point is the grid point just past the sample at
+    # t = 0.3, whose slope is the next segment's; [0, 4, 5, 6]: a threefold
+    # excited level at t = 0
+    for hp in ([0.0, 5.0], [0.0, 4.0, 5.0, 6.0]):
+        n = len(hp).bit_length() - 1
+        instance = InstanceSpec(
+            n,
+            ProjectorSpec.uniform(n),
+            DiagonalSpec.from_values(n, hp),
+            schedule=tabulated_example(),
+        )
+        profile = schedule_sweep(instance, grid_points=101)
+        estimate = estimate_runtime(profile)
+        ratio, s, level = reference_estimate(instance, profile)
+        assert estimate.worst_ratio == pytest.approx(ratio, rel=1e-10)
+        assert estimate.worst_s == pytest.approx(s, rel=1e-10)
+        assert estimate.worst_level == level
 
 
 def test_estimate_runtime_independent_of_basis_inside_a_degenerate_level():
@@ -491,7 +548,7 @@ def test_estimate_runtime_independent_of_basis_inside_a_degenerate_level():
     swept = gap_sweep(instance, grid_points=21)
     assert np.ptp(swept.levels[0, 1:]) < 1e-12
 
-    def at_s0(vectors):
+    def at_s0(couplings):
         return GapProfile(
             grid=swept.grid[:1],
             levels=swept.levels[:1],
@@ -500,23 +557,21 @@ def test_estimate_runtime_independent_of_basis_inside_a_degenerate_level():
             crossings=(),
             spectral_width=swept.spectral_width,
             schedule=swept.schedule,
-            vectors=vectors,
+            couplings=couplings,
         )
 
     rng = np.random.default_rng(3)
     q, _ = np.linalg.qr(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
-    given = swept.vectors[:1].astype(complex)
-    turned = given.copy()
-    turned[0][:, 1:] = given[0][:, 1:] @ q
-    plain = estimate_runtime(instance, at_s0(given))
-    rotated = estimate_runtime(instance, at_s0(turned))
+    given = swept.couplings[:1].astype(complex)
+    # the level's basis V -> V q turns its couplings V^dag dH u into q^dag of them
+    turned = given @ q.conj()
+    plain = estimate_runtime(at_s0(given))
+    rotated = estimate_runtime(at_s0(turned))
     assert plain.worst_ratio == pytest.approx(np.std(hp), rel=1e-12)
     assert rotated.worst_ratio == pytest.approx(plain.worst_ratio, rel=1e-12)
     assert plain.worst_level == rotated.worst_level == 1
     # level by level, the two bases of the same level disagree
-    dh_u = (np.diag(hp) - instance.h_i_matrix().entries) @ given[0][:, 0]
-    per_level = [np.abs(v[0][:, 1:].conj().T @ dh_u) for v in (given, turned)]
-    assert np.max(np.abs(per_level[0] - per_level[1])) > 0.1
+    assert np.max(np.abs(np.abs(given) - np.abs(turned))) > 0.1
 
 
 # ---------------------------------------------------------------------------
@@ -524,7 +579,7 @@ def test_estimate_runtime_independent_of_basis_inside_a_degenerate_level():
 
 
 def test_csv_schema_and_exact_round_trip():
-    profile = gap_sweep(SEARCH_INSTANCE, grid_points=21, keep_vectors=False)
+    profile = gap_sweep(SEARCH_INSTANCE, grid_points=21)
     text = export_profile(profile)
     lines = text.strip().splitlines()
     assert lines[0] == "s,eps0,eps1,gap1"
@@ -538,14 +593,14 @@ def test_csv_schema_and_exact_round_trip():
 
 
 def test_csv_and_svg_deterministic():
-    a = gap_sweep(MIXED_DRIVER, grid_points=101, keep_vectors=False)
-    b = gap_sweep(MIXED_DRIVER, grid_points=101, keep_vectors=False)
+    a = gap_sweep(MIXED_DRIVER, grid_points=101)
+    b = gap_sweep(MIXED_DRIVER, grid_points=101)
     assert export_profile(a) == export_profile(b)
     assert export_svg(a) == export_svg(b)
 
 
 def test_svg_contains_level_curves_and_annotation():
-    profile = gap_sweep(MIXED_DRIVER, grid_points=51, keep_vectors=False)
+    profile = gap_sweep(MIXED_DRIVER, grid_points=51)
     svg = export_svg(profile)
     assert svg.startswith("<svg") or svg.startswith("<")
     assert svg.count("<polyline") == profile.levels.shape[1]
@@ -564,6 +619,7 @@ def test_profile_shape_validation():
             crossings=(),
             spectral_width=1.0,
             schedule=SEARCH_INSTANCE.schedule,
+            couplings=np.zeros((10, 1)),
         )
     with pytest.raises(ValueError, match="gap1"):
         GapProfile(
@@ -574,4 +630,5 @@ def test_profile_shape_validation():
             crossings=(),
             spectral_width=1.0,
             schedule=SEARCH_INSTANCE.schedule,
+            couplings=np.zeros((10, 1)),
         )
