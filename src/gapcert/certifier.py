@@ -59,12 +59,22 @@ class PhaseGauge:
         """The unit-modulus diagonal e^{i alpha_k}."""
         return np.exp(1j * self.phases)
 
-    def rotate(self, h: HermitianMatrix) -> HermitianMatrix:
-        """Conjugate: ``U^dag h U``."""
+    def rotate(self, h: HermitianMatrix) -> np.ndarray:
+        """The read-only entries of ``U^dag h U``.
+
+        A diagonal unitary keeps a validated matrix Hermitian, so the
+        entries are not validated again.  Like
+        :class:`~gapcert.paulialg.HermitianMatrix`, they are float64 when no
+        imaginary part survives the rotation and complex128 otherwise.
+        """
         if h.dim != self.dim:
             raise ValueError(f"gauge is {self.dim}-dimensional, matrix {h.dim}")
         u = self.diagonal()
-        return HermitianMatrix(u.conj()[:, np.newaxis] * h.entries * u[np.newaxis, :])
+        rotated = u.conj()[:, np.newaxis] * h.entries * u[np.newaxis, :]
+        if not np.any(rotated.imag):
+            rotated = rotated.real.copy()
+        rotated.flags.writeable = False
+        return rotated
 
 
 @dataclass(frozen=True)
@@ -147,7 +157,7 @@ def check_condition2(h_i: HermitianMatrix, gauge: PhaseGauge) -> Condition2Resul
     ``SIGN_RTOL * (1 + max |h_i|)`` and imaginary part within the same
     bound of zero.  All violating entries are reported.
     """
-    rotated = gauge.rotate(h_i).entries
+    rotated = gauge.rotate(h_i)
     tol = SIGN_RTOL * (1.0 + float(np.max(np.abs(h_i.entries))))
     off = ~np.eye(h_i.dim, dtype=bool)
     bad = off & ((rotated.real > tol) | (np.abs(rotated.imag) > tol))

@@ -91,7 +91,7 @@ def auxiliary_f(h_i: HermitianMatrix, h_p, gauge: PhaseGauge) -> AuxiliaryF:
         raise ValueError("h_i, h_p and gauge must share one dimension")
     c1 = top_eigenvalue(h_i.entries) + 1.0
     c2 = float(hp.max()) + 1.0
-    rotated = gauge.rotate(h_i).entries
+    rotated = gauge.rotate(h_i)
     return AuxiliaryF(
         c1=c1,
         c2=c2,
@@ -229,7 +229,7 @@ def power_limit_projector(
     c1 = top_eigenvalue(h_i.entries) + 1.0
     r = np.abs(ground.vector)
     target = np.outer(r, r)
-    rotated = gauge.rotate(h_i).entries
+    rotated = gauge.rotate(h_i)
     normalized = (c1 * np.eye(h_i.dim) - rotated) / (c1 - ground.energy)
     _check_entrywise_nonnegative(normalized, 0.0)
 

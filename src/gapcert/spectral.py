@@ -7,12 +7,16 @@ on identical input bit-for-bit reproducible and comparisons up to global
 phase unnecessary in the common case.
 
 One solver sits behind these conventions: every eigenpair comes from
-:func:`low_spectrum`, which asks LAPACK's MRRR drivers ``dsyevr`` (real
-operators, as :class:`~gapcert.paulialg.HermitianMatrix` decides) or
-``zheevr`` for the ``m`` lowest pairs only and validates each pair it
-returns.  :func:`ground_state` makes exactly one such solve: its
-degeneracy verdict scales with the Gershgorin width of ``h``, which
-contains the spectral width and costs one pass over the entries.
+:func:`lapack_pairs`, the one call of LAPACK's MRRR drivers ``dsyevr``
+(real operators, as :class:`~gapcert.paulialg.HermitianMatrix` decides)
+or ``zheevr``, asked for the ``m`` lowest pairs only.  No pair is used
+before it is phase-fixed and checked by residual and orthonormality.  The
+two helpers that do so take a leading stack axis of operators:
+:func:`low_spectrum` applies them to one operator (a stack of one), and
+the sweep to a chunk of grid points at a time.  :func:`ground_state` makes
+exactly one solve: its degeneracy verdict scales with the Gershgorin width
+of ``h``, which contains the spectral width and costs one pass over the
+entries.
 """
 
 from __future__ import annotations
@@ -86,17 +90,17 @@ class GroundState:
 
 
 def _phase_factors(vectors: np.ndarray) -> np.ndarray:
-    """Unit factors that bring each column to the :func:`fix_phase`
-    convention (1 for a zero column); real for real columns."""
+    """Unit factors, shape ``(points, m)``, that bring each column of a
+    stack ``(points, d, m)`` to the :func:`fix_phase` convention (1 for a
+    zero column); real for real columns."""
+    points, _, m = vectors.shape
     magnitudes = np.abs(vectors)
-    top = magnitudes.max(axis=0, initial=0.0)
-    pivots = (magnitudes >= (1.0 - 1e-9) * top).argmax(axis=0)
-    columns = np.arange(vectors.shape[1])
-    sizes = magnitudes[pivots, columns]
+    top = magnitudes.max(axis=1, initial=0.0)
+    pivots = (magnitudes >= (1.0 - 1e-9) * top[:, np.newaxis, :]).argmax(axis=1)
+    index = (np.arange(points)[:, np.newaxis], pivots, np.arange(m))
+    sizes = magnitudes[index]
     nonzero = sizes > 0.0
-    return np.where(
-        nonzero, vectors[pivots, columns].conj() / np.where(nonzero, sizes, 1.0), 1.0
-    )
+    return np.where(nonzero, vectors[index].conj() / np.where(nonzero, sizes, 1.0), 1.0)
 
 
 def fix_phase(vector: np.ndarray) -> np.ndarray:
@@ -108,29 +112,41 @@ def fix_phase(vector: np.ndarray) -> np.ndarray:
     to rounding) are fixed deterministically.
     """
     v = np.asarray(vector, dtype=complex)
-    return v * _phase_factors(v[:, np.newaxis])[0]
+    return v * _phase_factors(v[np.newaxis, :, np.newaxis])[0, 0]
 
 
-def _validate_pairs(entries: np.ndarray, values: np.ndarray, vectors: np.ndarray) -> None:
+def _validate_pairs(
+    action: np.ndarray, values: np.ndarray, vectors: np.ndarray, s: np.ndarray | None = None
+) -> None:
     """Raise :class:`EigensolverError` unless every column of ``vectors``
     satisfies ``|H v_m - e_m v_m| <= RESIDUAL_RTOL * (1 + |e_m|)`` and the
     columns are orthonormal to ``RESIDUAL_RTOL``.  NaN fails both tests.
+
+    Every argument carries a leading stack axis of operators: ``action``
+    holds each ``H @ vectors``, shape ``(points, d, m)``, like ``vectors``,
+    and ``values`` is ``(points, m)``.  ``s`` labels the stacked operators
+    by their interpolation parameter in the message of a failed check.
     """
-    # ndarray methods: at small d the np.* wrappers' overhead dominates.
-    residual = entries @ vectors - vectors * values
+    worst = np.abs(action - vectors * values[:, np.newaxis, :]).max(axis=1)
     bound = RESIDUAL_RTOL * (1.0 + np.abs(values))
-    worst = np.abs(residual).max(axis=0)
     if not (worst <= bound).all():
-        m = int(np.flatnonzero(~(worst <= bound))[0])
+        point, m = np.argwhere(~(worst <= bound))[0]
         raise EigensolverError(
-            f"eigenpair {m} residual {worst[m]:.3e} exceeds {bound[m]:.3e}"
+            f"eigenpair {m} residual {worst[point, m]:.3e} exceeds "
+            f"{bound[point, m]:.3e}{_where(s, point)}"
         )
-    k = vectors.shape[1]
-    gram_defect = np.abs(vectors.conj().T @ vectors - np.eye(k)).max()
-    if not gram_defect <= RESIDUAL_RTOL:
+    gram = vectors.conj().swapaxes(1, 2) @ vectors
+    gram_defect = np.abs(gram - np.eye(vectors.shape[2])).max(axis=(1, 2))
+    if not (gram_defect <= RESIDUAL_RTOL).all():
+        point = int(np.argmin(gram_defect <= RESIDUAL_RTOL))
         raise EigensolverError(
-            f"eigenvectors lose orthonormality: defect {gram_defect:.3e}"
+            f"eigenvectors lose orthonormality: defect {gram_defect[point]:.3e}"
+            f"{_where(s, point)}"
         )
+
+
+def _where(s: np.ndarray | None, point: int) -> str:
+    return "" if s is None else f" at s = {float(s[point])!r}"
 
 
 def eigensystem(h) -> EigenSystem:
@@ -199,17 +215,52 @@ def ground_state(h) -> GroundState:
     )
 
 
+def lapack_pairs(entries: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """The ``m`` lowest eigenpairs of a Hermitian array, straight from LAPACK.
+
+    The one call of LAPACK's MRRR drivers: a real array goes to ``dsyevr``,
+    anything else to ``zheevr`` with its optimal workspace, each asked for
+    the index range 1..m only; the solver reads one triangle of the array.
+    The pairs are neither phase-fixed nor checked: :func:`low_spectrum` does
+    both for one operator, the sweep for a stack of grid points.
+
+    Returns
+    -------
+    values : ndarray, shape (m,)
+        Ascending eigenvalues.
+    vectors : ndarray, shape (d, m)
+        The driver's eigenvector columns, writable.
+
+    Raises
+    ------
+    ValueError
+        If ``m`` is not in ``1..d``.
+    EigensolverError
+        If LAPACK reports a failure or too few pairs.
+    """
+    d = entries.shape[0]
+    if not 1 <= m <= d:
+        raise ValueError(f"requested {m} levels from a {d}-dimensional matrix")
+    if np.iscomplexobj(entries):
+        driver, workspace = _HEEVR, _heevr_workspace(d)
+    else:
+        driver, workspace = _SYEVR, {}
+    values, vectors, found, _, info = driver(entries, range="I", il=1, iu=m, **workspace)
+    if info != 0 or found != m:
+        raise EigensolverError(
+            f"{driver.__name__} returned info = {info} with {found} of {m} pairs"
+        )
+    return values[:m], vectors
+
+
 def low_spectrum(h, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """The ``m`` lowest eigenpairs of a Hermitian operator.
+    """The ``m`` lowest eigenpairs of a Hermitian operator, phase-fixed and checked.
 
     Parameters
     ----------
     h : HermitianMatrix or ndarray
         The operator.  A plain array is taken as Hermitian by construction
-        and not re-validated (the sweep assembles one per grid point from
-        validated parts); the solver reads one triangle of it.  A real
-        array goes to LAPACK ``dsyevr``, anything else to ``zheevr`` with
-        its optimal workspace, each asked for the index range 1..m only.
+        and not re-validated; it is solved by :func:`lapack_pairs`.
     m : int
         Number of levels, ``1 <= m <= d``.
 
@@ -229,21 +280,11 @@ def low_spectrum(h, m: int) -> tuple[np.ndarray, np.ndarray]:
         checked against the full array ``h`` at a cost of O(d**2 m).
     """
     entries = h.entries if isinstance(h, HermitianMatrix) else np.asarray(h)
-    d = entries.shape[0]
-    if not 1 <= m <= d:
-        raise ValueError(f"requested {m} levels from a {d}-dimensional matrix")
-    if np.iscomplexobj(entries):
-        driver, workspace = _HEEVR, _heevr_workspace(d)
-    else:
-        driver, workspace = _SYEVR, {}
-    values, vectors, found, _, info = driver(entries, range="I", il=1, iu=m, **workspace)
-    if info != 0 or found != m:
-        raise EigensolverError(
-            f"{driver.__name__} returned info = {info} with {found} of {m} pairs"
-        )
-    values = values[:m]
-    vectors *= _phase_factors(vectors)
-    _validate_pairs(entries, values, vectors)
+    values, vectors = lapack_pairs(entries, m)
+    # the stack helpers, on a stack of one operator
+    stacked = vectors[np.newaxis]
+    vectors *= _phase_factors(stacked)[0]
+    _validate_pairs((entries @ vectors)[np.newaxis], values[np.newaxis], stacked)
     values.flags.writeable = False
     vectors.flags.writeable = False
     return values, vectors

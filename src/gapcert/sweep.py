@@ -8,18 +8,25 @@ minimum that could hide a closing is refined off-grid, minima below
 ``1e-8 * (1 + spectral width)`` are reported as crossings, and ``min_gap``
 always refers to the refined minimum so it does not depend on whether the
 true minimizer lands on a grid point.  Every solve, at a grid point or
-inside the refinement, goes through :func:`~gapcert.spectral.low_spectrum`
+inside the refinement, is one call of :func:`~gapcert.spectral.lapack_pairs`
 and computes only the levels it reports.
+
+The grid is solved in chunks of at most ``CHUNK_BYTES`` of stacked
+eigenvectors: one driver call per point, then one vectorised pass over the
+chunk that phase-fixes and checks every pair (the helpers behind
+:func:`~gapcert.spectral.low_spectrum`, on a stack) and differentiates.  A
+refinement solve goes through :func:`~gapcert.spectral.low_spectrum`.
 
 Every solve also yields, for almost nothing, one block of Hellmann--Feynman
 matrix elements ``<psi_k| dH/ds |psi_j>`` (j = 0, 1) from its checked
 eigenvectors, with ``dH/ds = a' h_i + b' diag(h_p)`` at the schedule's
-one-sided slopes.  Its diagonal gives the gap's slope, which guides the
-refinement: where the slopes at the two ends of a grid step go (-, +), the
-slope's root is found there to ``REFINE_XATOL``; any other step is probed
-at its two golden-section points first, where a dip hidden inside it
-shows.  Its first column, ``<psi_k| dH/ds |psi_0>`` for k >= 1, is kept at
-every grid point as the profile's ``couplings``.
+one-sided slopes; on the grid it reuses the check's product ``h_i @ V``.
+Its diagonal gives the gap's slope, which guides the refinement: where the
+slopes at the two ends of a grid step go (-, +), the slope's root is found
+there to ``REFINE_XATOL``; any other step is probed at its two
+golden-section points first, where a dip hidden inside it shows.  Its
+first column, ``<psi_k| dH/ds |psi_0>`` for k >= 1, is kept at every grid
+point as the profile's ``couplings``.
 
 ``estimate_runtime`` turns a crossing-free profile into the standard
 worst-case adiabatic ratio ``max |<psi_m| dH |psi_0>| / gap_m**2`` over
@@ -39,13 +46,24 @@ from scipy.optimize import OptimizeResult, brentq, minimize_scalar
 
 from .paulialg import HermitianMatrix, diagonal_values
 from .specfile import LINEAR, InstanceSpec, ScheduleSpec
-from .spectral import DEGENERACY_RTOL, low_spectrum, top_eigenvalue
+from .spectral import (
+    DEGENERACY_RTOL,
+    _phase_factors,
+    _validate_pairs,
+    lapack_pairs,
+    low_spectrum,
+    top_eigenvalue,
+)
 
 # A refined gap minimum below CROSSING_RTOL * (1 + spectral width) is a crossing.
 CROSSING_RTOL = 1e-8
 # Where the gap's slope changes sign from - to + between two solved points,
 # its root (the reported location) is found to this absolute accuracy in s.
 REFINE_XATOL = 1e-12
+# The grid's pairs are checked in chunks of points whose stacked
+# (points, d, m) eigenvector array takes at most this many bytes (or one
+# point, if one alone takes more).
+CHUNK_BYTES = 1 << 16
 
 
 class CrossingPresent(RuntimeError):
@@ -109,18 +127,20 @@ def _schedule_max_slopes(schedule: ScheduleSpec) -> tuple[float, float]:
     return float(np.max(np.abs(da))), float(np.max(np.abs(db)))
 
 
-def _hellmann_feynman(A, hp, vecs, da, db) -> tuple[float, np.ndarray]:
-    """The gap's slope and the couplings at one solved point.
+def _hellmann_feynman(av, hp, vecs, da, db) -> tuple[np.ndarray, np.ndarray]:
+    """The gap's slope and the couplings at a stack of solved points.
 
-    ``vecs`` holds the point's eigenvectors of ``a h_i + b diag(hp)``
-    (``A`` is ``h_i``'s array) and ``da``, ``db`` the schedule's slopes
-    there.  The block ``<psi_k| dH/ds |psi_j>``, j = 0, 1, gives the gap's
-    slope ``E_1' - E_0'`` on its diagonal (Hellmann--Feynman) and the
-    couplings ``<psi_k| dH/ds |psi_0>``, k >= 1, in its first column.
+    ``vecs`` holds each point's eigenvectors of ``a h_i + b diag(hp)``,
+    shape ``(points, d, m)``, ``av`` the products ``h_i @ vecs`` and ``da``,
+    ``db`` the schedule's slopes there, shape ``(points,)``.  The block
+    ``<psi_k| dH/ds |psi_j>``, j = 0, 1, gives the gap's slope
+    ``E_1' - E_0'`` on its diagonal (Hellmann--Feynman) and the couplings
+    ``<psi_k| dH/ds |psi_0>``, k >= 1, in its first column.
     """
-    pair = vecs[:, :2]
-    block = vecs.conj().T @ (da * (A @ pair) + db * (hp[:, None] * pair))
-    return float((block[1, 1] - block[0, 0]).real), block[1:, 0]
+    pair = vecs[:, :, :2]
+    derivative = da[:, None, None] * av[:, :, :2] + db[:, None, None] * (hp[:, None] * pair)
+    block = vecs.conj().swapaxes(1, 2) @ derivative
+    return (block[:, 1, 1] - block[:, 0, 0]).real, block[:, 1:, 0]
 
 
 # Golden-section fraction: where a bounded search of a bracket probes first.
@@ -204,15 +224,32 @@ def sweep_pair(
         return op
 
     da, db = schedule.slopes(grid)
-    levels = np.empty((grid_points, m_levels))
-    slopes = np.empty(grid_points)
-    # collected as returned, so their dtype is the eigenvectors' own
-    couplings = []
-    for idx in range(grid_points):
-        values, vecs = low_spectrum(operator_at(a[idx], b[idx]), m_levels)
-        levels[idx] = values
-        slopes[idx], coupling = _hellmann_feynman(A, hp, vecs, da[idx], db[idx])
-        couplings.append(coupling)
+
+    def solve_chunk(chunk: slice) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        # One driver call per point, then one stacked pass over the chunk:
+        # the phase convention, the pair check and the Hellmann--Feynman
+        # block, which shares the check's product A @ vecs.
+        solved = [
+            lapack_pairs(operator_at(aa, bb), m_levels) for aa, bb in zip(a[chunk], b[chunk])
+        ]
+        values = np.array([w for w, _ in solved])
+        vecs = np.stack([v for _, v in solved])
+        del solved
+        vecs *= _phase_factors(vecs)[:, np.newaxis, :]
+        av = A @ vecs
+        action = a[chunk, None, None] * av + b[chunk, None, None] * (hp[:, None] * vecs)
+        _validate_pairs(action, values, vecs, grid[chunk])
+        return values, *_hellmann_feynman(av, hp, vecs, da[chunk], db[chunk])
+
+    per_chunk = max(1, CHUNK_BYTES // (d * m_levels * A.itemsize))
+    chunks = [
+        solve_chunk(slice(start, start + per_chunk))
+        for start in range(0, grid_points, per_chunk)
+    ]
+    levels = np.concatenate([values for values, _, _ in chunks])
+    slopes = np.concatenate([slope for _, slope, _ in chunks])
+    # their dtype is the solved eigenvectors' own
+    couplings = np.concatenate([coupling for _, _, coupling in chunks])
     gap1 = levels[:, 1] - levels[:, 0]
     width = float(levels.max() - levels.min())
     tolerance = CROSSING_RTOL * (1.0 + width)
@@ -220,9 +257,10 @@ def sweep_pair(
     def gap_and_slope(tau: float) -> tuple[float, float]:
         at = np.array([tau])
         (aa,), (bb,) = schedule.coefficients(at)
-        (da_t,), (db_t,) = schedule.slopes(at)
+        da_t, db_t = schedule.slopes(at)
         w, pair = low_spectrum(operator_at(aa, bb), 2)
-        return float(w[1] - w[0]), _hellmann_feynman(A, hp, pair, da_t, db_t)[0]
+        (slope,), _ = _hellmann_feynman((A @ pair)[np.newaxis], hp, pair[np.newaxis], da_t, db_t)
+        return float(w[1] - w[0]), float(slope)
 
     # Any true closing between grid points leaves a local minimum whose
     # grid value is at most (gap slope) * (grid step); only those need a
@@ -296,7 +334,7 @@ def sweep_pair(
         crossings=tuple(crossings),
         spectral_width=width,
         schedule=schedule,
-        couplings=np.array(couplings),
+        couplings=couplings,
     )
 
 
@@ -371,20 +409,20 @@ def estimate_runtime(profile: GapProfile, target_epsilon: float = 0.1) -> Runtim
     check_target_epsilon(target_epsilon)
 
     tolerance = DEGENERACY_RTOL * (1.0 + profile.spectral_width)
-    grid = profile.grid
-    worst = 0.0
-    worst_s = float(grid[0])
-    worst_level = 1
-    for idx in range(grid.size):
-        gaps = profile.levels[idx, 1:] - profile.levels[idx, 0]
-        starts = np.flatnonzero(np.diff(gaps, prepend=-np.inf) > tolerance)
-        weights = np.add.reduceat(np.abs(profile.couplings[idx]) ** 2, starts)
-        ratios = np.sqrt(weights) / gaps[starts] ** 2
-        m = int(np.argmax(ratios))
-        if ratios[m] > worst:
-            worst = float(ratios[m])
-            worst_s = float(grid[idx])
-            worst_level = int(starts[m]) + 1
+    gaps = profile.levels[:, 1:] - profile.levels[:, :1]
+    # leads[p, k]: level k + 1 is the lowest member of a level at point p;
+    # every member adds its squared couplings into that level's bin
+    leads = np.diff(gaps, axis=1, prepend=-np.inf) > tolerance
+    rows, slots = gaps.shape
+    bins = np.cumsum(leads, axis=1) - 1 + slots * np.arange(rows)[:, np.newaxis]
+    weights = np.bincount(
+        bins.ravel(), np.abs(profile.couplings.ravel()) ** 2, minlength=rows * slots
+    )[bins]
+    ratios = np.where(leads, np.sqrt(weights) / gaps**2, 0.0)
+    point, slot = divmod(int(np.argmax(ratios)), slots)
+    worst = float(ratios[point, slot])
+    worst_s = float(profile.grid[point])
+    worst_level = slot + 1
     return RuntimeEstimate(
         worst_ratio=worst,
         suggested_T=worst / target_epsilon,

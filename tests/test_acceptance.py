@@ -227,7 +227,7 @@ def test_criterion_04_transverse_gauge_pattern():
             weights = np.array([bin(z).count("1") for z in range(d)])
             sign_pattern = (-1.0) ** weights  # the diagonal of Z tensor^n
             assert np.max(np.abs(gauge.diagonal() - sign_pattern)) < 1e-12
-            rotated = gauge.rotate(h_i).entries
+            rotated = gauge.rotate(h_i)
             target = -g * build_pauli(
                 PauliExpression.from_terms(
                     n,

@@ -101,10 +101,26 @@ def test_phase_gauge_rotate_matches_dense_conjugation():
     h = HermitianMatrix((a + a.conj().T) / 2.0)
     u = np.diag(np.exp(1j * alpha))
     want = u.conj().T @ h.entries @ u
-    got = gauge.rotate(h).entries
+    got = gauge.rotate(h)
     assert np.max(np.abs(got - want)) < 1e-12
+    assert got.dtype == complex and not got.flags.writeable
     with pytest.raises(ValueError):
         gauge.rotate(HermitianMatrix(np.eye(2, dtype=complex)))
+
+
+def test_phase_gauge_rotate_keeps_the_dtype_rule_without_revalidating(monkeypatch):
+    # the identity gauge leaves a real matrix real: float64, as
+    # HermitianMatrix stores it, so the chain's samples stay on the real driver
+    a = np.random.default_rng(12).standard_normal((6, 6))
+    h = HermitianMatrix(a + a.T)
+    gauge = PhaseGauge(np.zeros(6))
+    built = []
+    monkeypatch.setattr(HermitianMatrix, "__post_init__", lambda self: built.append(self))
+    got = gauge.rotate(h)
+    assert not built
+    assert got.dtype == np.float64 and not got.flags.writeable
+    u = gauge.diagonal()
+    assert np.array_equal(got, (u.conj()[:, np.newaxis] * h.entries * u[np.newaxis, :]).real)
 
 
 # ---------------------------------------------------------------------------

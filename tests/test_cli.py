@@ -367,7 +367,7 @@ diagonal = 0.0, 3.0, 1.0, 6.0, 2.0, 5.0, 4.0, 7.0
 
 def test_every_eigenpair_comes_from_the_seam(run, spec_file, monkeypatch):
     def forbidden(*args, **kwargs):
-        raise AssertionError("eigensolver called outside spectral.low_spectrum")
+        raise AssertionError("eigensolver called outside spectral.lapack_pairs")
 
     for name in ("eigh", "eigvalsh", "eig", "eigvals"):
         monkeypatch.setattr(np.linalg, name, forbidden)

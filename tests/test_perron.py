@@ -294,7 +294,7 @@ def test_power_limit_random_certified_drivers():
         # independent restatement: the normalized power is within tol of the
         # projector onto the entrywise-positive ground amplitudes
         r = np.abs(ground_state(h_i).vector)
-        rotated = gauge.rotate(h_i).entries
+        rotated = gauge.rotate(h_i)
         vals = np.linalg.eigvalsh(core)
         c1 = vals[-1] + 1.0
         normalized = (c1 * np.eye(d) - rotated) / (c1 - vals[0])

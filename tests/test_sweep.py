@@ -6,6 +6,8 @@ against sqrt(1 - 2 s (1 - s)) with no linear algebra in the oracle.
 """
 
 import math
+import re
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -22,7 +24,7 @@ from gapcert.paulialg import (
 )
 from gapcert import sweep as sweep_module
 from gapcert.specfile import LINEAR, InstanceSpec, ScheduleSpec, parse_instance
-from gapcert.spectral import DEGENERACY_RTOL
+from gapcert.spectral import DEGENERACY_RTOL, EigensolverError
 from gapcert.sweep import (
     CrossingPresent,
     GapProfile,
@@ -35,6 +37,7 @@ from gapcert.sweep import (
     summarize_profile,
     sweep_pair,
 )
+from conftest import patch_solver
 from test_acceptance import COUNTEREXAMPLE_TEXT, certified_corpus
 
 SEARCH_INSTANCE = InstanceSpec(
@@ -224,9 +227,9 @@ def test_sweep_reuses_its_first_grid_point_for_the_norm_bound(solve_log):
     assert solve_log.count(3) == profile.grid.size
 
 
-def reference_low_spectrum(h, m):
+def reference_pairs(h, m):
     """Full complex ``eigh``: the sweep's solve before the seam.  The
-    vectors are returned because the refinement takes its slopes from them."""
+    vectors are returned because the slopes and couplings come from them."""
     values, vectors = np.linalg.eigh(np.asarray(h, dtype=complex))
     return values[:m], vectors[:, :m]
 
@@ -245,7 +248,7 @@ def test_seam_agrees_with_full_complex_reference(monkeypatch):
     for h_i, h_p in pieces:
         seam = sweep_pair(h_i, h_p, grid_points=501, m_levels=2)
         with monkeypatch.context() as patch:
-            patch.setattr(sweep_module, "low_spectrum", reference_low_spectrum)
+            patch_solver(patch, reference_pairs)
             reference = sweep_pair(h_i, h_p, grid_points=501, m_levels=2)
         scale = 1.0 + reference.spectral_width
         assert np.max(np.abs(seam.levels - reference.levels)) <= 1e-10 * scale
@@ -262,6 +265,79 @@ def test_seam_agrees_with_full_complex_reference(monkeypatch):
                 1e-10 * reference.min_gap.value
             )
     assert crossings == 1 and len(pieces) > 25
+
+
+# ---------------------------------------------------------------------------
+# the stacked pass: one driver call per point, then one check and
+# Hellmann--Feynman block per chunk of points
+
+
+def chunk_bytes(points, h_i, m_levels):
+    """A CHUNK_BYTES that makes each chunk hold ``points`` grid points."""
+    return points * h_i.dim * m_levels * h_i.entries.itemsize
+
+
+STACK_CASES = {
+    "real": (SEAM_PAIRS["real"], SEAM_HP),
+    "complex": (SEAM_PAIRS["complex"], SEAM_HP),
+    "crossing": (MIXED_DRIVER.h_i_matrix(), np.array(MIXED_DRIVER.h_p.values)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(STACK_CASES))
+@pytest.mark.parametrize("points", [1, 3, 41])
+def test_chunk_size_leaves_the_profile_bit_identical(case, points, monkeypatch):
+    h_i, hp = STACK_CASES[case]
+    m_levels = min(4, h_i.dim)
+    whole = sweep_pair(h_i, hp, grid_points=41)
+    monkeypatch.setattr(sweep_module, "CHUNK_BYTES", chunk_bytes(points, h_i, m_levels))
+    chunked = sweep_pair(h_i, hp, grid_points=41)
+    for name in ("levels", "gap1", "couplings"):
+        assert np.array_equal(getattr(chunked, name), getattr(whole, name)), name
+    assert chunked.min_gap == whole.min_gap
+    assert chunked.crossings == whole.crossings
+
+
+@pytest.mark.parametrize("kind", sorted(SEAM_PAIRS))
+@pytest.mark.parametrize("corrupt", ["value", "vector"])
+def test_a_pair_corrupted_inside_a_chunk_names_its_point(kind, corrupt, monkeypatch):
+    # chunks of 3 points: grid point 4 sits in the middle of the second
+    h_i = SEAM_PAIRS[kind]
+    monkeypatch.setattr(sweep_module, "CHUNK_BYTES", chunk_bytes(3, h_i, 4))
+    solve = sweep_module.lapack_pairs
+    calls = []
+
+    def corrupted(h, m):
+        values, vectors = solve(h, m)
+        if len(calls) == 4:
+            if corrupt == "value":
+                values[1] += 1e-6
+            else:
+                vectors[:, 1] += 1e-6 * vectors[:, 2]
+        calls.append(m)
+        return values, vectors
+
+    patch_solver(monkeypatch, corrupted)
+    point = re.escape(f" at s = {float(np.linspace(0.0, 1.0 - 1.0 / 41, 41)[4])!r}")
+    with pytest.raises(EigensolverError, match=f"(residual|orthonormality) .*{point}$"):
+        sweep_pair(h_i, SEAM_HP, grid_points=41)
+    assert len(calls) == 6  # the chunk was solved, and nothing after it
+
+
+def test_a_long_sweep_holds_no_stack_of_the_whole_grid():
+    instance = hidden_dip_instance()
+    h_i, hp = instance.h_i_matrix(), np.array(instance.h_p.values)
+    points, d, m_levels = 1001, h_i.dim, 4
+    whole_grid_stack = points * d * m_levels * h_i.entries.itemsize
+    assert sweep_module.CHUNK_BYTES * 8 <= whole_grid_stack
+    tracemalloc.start()
+    try:
+        profile = sweep_pair(h_i, hp, grid_points=points)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert profile.levels.shape == (points, m_levels)
+    assert peak < whole_grid_stack / 2
 
 
 # ---------------------------------------------------------------------------
@@ -344,13 +420,15 @@ SLOPE_CASES = {
 
 
 def recorded_blocks(monkeypatch):
-    """Every (gap slope, couplings) pair the sweep computes, in order."""
+    """Every (gap slope, couplings) pair the sweep computes, in order, one
+    per solved point of each stacked block."""
     returned = []
     block = sweep_module._hellmann_feynman
 
     def recording(*args):
-        returned.append(block(*args))
-        return returned[-1]
+        slopes, couplings = block(*args)
+        returned.extend(zip(slopes, couplings))
+        return slopes, couplings
 
     monkeypatch.setattr(sweep_module, "_hellmann_feynman", recording)
     return returned
@@ -396,7 +474,7 @@ def test_slopes_are_finite_and_refinement_agrees_with_complex_eigh(case, monkeyp
         assert abs(returned[idx][0] - difference) <= 1e-5 * (1.0 + seam.spectral_width)
 
     with monkeypatch.context() as patch:
-        patch.setattr(sweep_module, "low_spectrum", reference_low_spectrum)
+        patch_solver(patch, reference_pairs)
         reference = sweep_pair(h_i, hp, grid_points=41, schedule=schedule)
     assert [(c.s_lo, c.s_hi) for c in seam.crossings] == [
         (c.s_lo, c.s_hi) for c in reference.crossings
@@ -572,6 +650,58 @@ def test_estimate_runtime_independent_of_basis_inside_a_degenerate_level():
     assert plain.worst_level == rotated.worst_level == 1
     # level by level, the two bases of the same level disagree
     assert np.max(np.abs(np.abs(given) - np.abs(turned))) > 0.1
+
+
+def looped_estimate(profile):
+    """``estimate_runtime``'s grouping one grid point at a time: the
+    reference for its vectorised form."""
+    tolerance = DEGENERACY_RTOL * (1.0 + profile.spectral_width)
+    worst, worst_s, worst_level = 0.0, float(profile.grid[0]), 1
+    for idx in range(profile.grid.size):
+        gaps = profile.levels[idx, 1:] - profile.levels[idx, 0]
+        starts = np.flatnonzero(np.diff(gaps, prepend=-np.inf) > tolerance)
+        weights = np.add.reduceat(np.abs(profile.couplings[idx]) ** 2, starts)
+        ratios = np.sqrt(weights) / gaps[starts] ** 2
+        m = int(np.argmax(ratios))
+        if ratios[m] > worst:
+            worst = float(ratios[m])
+            worst_s, worst_level = float(profile.grid[idx]), int(starts[m]) + 1
+    return worst, worst_s, worst_level
+
+
+@pytest.mark.parametrize("m_levels", [2, 4, 8])
+def test_estimate_runtime_matches_its_looped_grouping(m_levels):
+    # a threefold level at s = 0 (projector_uniform), real and complex
+    # couplings, a tabulated schedule, and a profile whose couplings vanish
+    hp = np.array([0.0, 4.0, 5.0, 6.0, 1.0, 3.0, 2.0, 7.0])
+    profiles = [
+        gap_sweep(
+            InstanceSpec(3, ProjectorSpec.uniform(3), DiagonalSpec.from_values(3, hp)),
+            grid_points=41,
+            m_levels=m_levels,
+        ),
+        sweep_pair(SEAM_PAIRS["real"], SEAM_HP, grid_points=41, m_levels=m_levels),
+        sweep_pair(SEAM_PAIRS["complex"], SEAM_HP, grid_points=41, m_levels=m_levels),
+        sweep_pair(SEAM_PAIRS["real"], SEAM_HP, 41, m_levels, tabulated_example()),
+    ]
+    flat = profiles[1]
+    profiles.append(replace(flat, couplings=np.zeros_like(flat.couplings)))
+    # the first three points alone, where the threefold level is the worst
+    head = profiles[0]
+    profiles.append(
+        replace(
+            head,
+            grid=head.grid[:3],
+            levels=head.levels[:3],
+            gap1=head.gap1[:3],
+            couplings=head.couplings[:3],
+        )
+    )
+    for profile in profiles:
+        got = estimate_runtime(profile)
+        assert (got.worst_ratio, got.worst_s, got.worst_level) == looped_estimate(profile)
+    if m_levels > 2:
+        assert np.ptp(profiles[0].levels[0, 1:4]) < 1e-12  # the grouping is exercised
 
 
 # ---------------------------------------------------------------------------
