@@ -11,6 +11,11 @@ When both hold, the ground state of the interpolated operator stays
 unique for every ``s`` strictly below 1, so the gap to the first excited
 level cannot close before the endpoint.  The conditions are sufficient
 only: a failed certificate is *inconclusive* about crossings.
+
+For a real ``h_i`` the ground state is real and ``U`` a diagonal of signs
+(stoquastic up to a sign gauge: Marvian, Lidar & Hen, Nat. Commun. 10,
+1571, 2019).  :class:`PhaseGauge` gives it exactly, so ``U^dag h_i U``, and
+every solve built on it, stays real.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .paulialg import HermitianMatrix, diagonal_values
+from .paulialg import HermitianMatrix, _stored, diagonal_values
 from .spectral import GroundState, ground_state
 from .specfile import InstanceSpec
 
@@ -56,25 +61,24 @@ class PhaseGauge:
         return self.phases.size
 
     def diagonal(self) -> np.ndarray:
-        """The unit-modulus diagonal e^{i alpha_k}."""
-        return np.exp(1j * self.phases)
+        """The unit-modulus diagonal e^{i alpha_k}, exactly -1 at a half turn,
+        so that a gauge of signs keeps a real matrix real."""
+        u = np.exp(1j * self.phases)
+        u[np.abs(self.phases) == np.pi] = -1.0
+        return u
 
     def rotate(self, h: HermitianMatrix) -> np.ndarray:
         """The read-only entries of ``U^dag h U``.
 
         A diagonal unitary keeps a validated matrix Hermitian, so the
-        entries are not validated again.  Like
-        :class:`~gapcert.paulialg.HermitianMatrix`, they are float64 when no
-        imaginary part survives the rotation and complex128 otherwise.
+        entries are not validated again.  They are stored by the rule of
+        :class:`~gapcert.paulialg.HermitianMatrix`: a real ``h`` under a
+        gauge of signs stays float64.
         """
         if h.dim != self.dim:
             raise ValueError(f"gauge is {self.dim}-dimensional, matrix {h.dim}")
         u = self.diagonal()
-        rotated = u.conj()[:, np.newaxis] * h.entries * u[np.newaxis, :]
-        if not np.any(rotated.imag):
-            rotated = rotated.real.copy()
-        rotated.flags.writeable = False
-        return rotated
+        return _stored(u.conj()[:, np.newaxis] * h.entries * u[np.newaxis, :])
 
 
 @dataclass(frozen=True)

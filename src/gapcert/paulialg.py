@@ -146,15 +146,24 @@ class ProjectorSpec:
         )
 
 
+def _stored(entries: np.ndarray) -> np.ndarray:
+    """``entries`` read-only, and float64 unless an imaginary part is nonzero:
+    how an operator and its gauge rotation are stored."""
+    if np.iscomplexobj(entries) and not np.any(entries.imag):
+        entries = entries.real.copy()
+    entries.flags.writeable = False
+    return entries
+
+
 @dataclass(frozen=True, eq=False)
 class HermitianMatrix:
     """A dense matrix validated to be Hermitian, held real when it is real.
 
-    The one place that decides how an operator is stored: float64 when no
-    entry has a nonzero imaginary part, complex128 otherwise.  Input that
-    already has that dtype is validated and kept without a copy, and like
-    every stored array it is made read-only.  Hermiticity is enforced up
-    to ``HERMITICITY_RTOL * (1 + max |entry|)``; every entry must be finite.
+    Stored float64 when no entry has a nonzero imaginary part, complex128
+    otherwise (:func:`_stored`).  Input that already has that dtype is
+    validated and kept without a copy, and made read-only.  Hermiticity is
+    enforced up to ``HERMITICITY_RTOL * (1 + max |entry|)``; every entry
+    must be finite.
     """
 
     entries: np.ndarray
@@ -175,10 +184,7 @@ class HermitianMatrix:
                 f"matrix is not Hermitian: max |M - M^dag| = {defect:.3e} "
                 f"exceeds {HERMITICITY_RTOL * scale:.3e}"
             )
-        if np.iscomplexobj(m) and not np.any(m.imag):
-            m = m.real.copy()
-        m.flags.writeable = False
-        object.__setattr__(self, "entries", m)
+        object.__setattr__(self, "entries", _stored(m))
 
     @classmethod
     def of(cls, h) -> "HermitianMatrix":

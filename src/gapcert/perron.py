@@ -13,7 +13,9 @@ interpolated operator, which is what keeps the gap open.
 
 Every F(s) with s < 1 has a diagonal of at least 1 and the off-diagonal
 of its s = 0 piece scaled by (1-s), so its graph, and with it primitivity,
-is shared by the whole chain.  ``verify_proof_chain`` re-derives each link
+is shared by the whole chain.  The second piece is diagonal and is held
+as a vector; under the sign gauge of a real ``h_i`` the first is real, and
+so is every F(s).  ``verify_proof_chain`` re-derives each link
 numerically on a sample grid; it decides primitivity once per distinct
 nonnegativity pattern and checks at every sample that the pattern is the
 one decided.  The result is a numerical corroboration of the argument at
@@ -57,8 +59,9 @@ def wielandt_bound(dim: int) -> int:
 class AuxiliaryF:
     """Sampled form of F(s), precomputed from a gauge-rotated pair.
 
-    ``a1 = c1 I - U^dag h_i U`` and ``a2 = c2 I - h_p`` are the two
-    convex pieces; ``sample(s)`` returns ``(1-s) a1 + s a2``.
+    ``a1 = c1 I - U^dag h_i U`` and ``c2 I - h_p`` are the two convex
+    pieces; the second is diagonal and held as its vector ``a2 = c2 - h_p``.
+    ``sample(s)`` returns ``(1-s) a1`` with ``s a2`` added on its diagonal.
     """
 
     c1: float
@@ -77,7 +80,9 @@ class AuxiliaryF:
     def sample(self, s: float) -> np.ndarray:
         if not 0.0 <= s <= 1.0:
             raise ValueError(f"sample point s = {s} outside [0, 1]")
-        return (1.0 - s) * self.a1 + s * self.a2
+        f = (1.0 - s) * self.a1
+        f.flat[:: self.dim + 1] += s * self.a2
+        return f
 
 
 def auxiliary_f(h_i: HermitianMatrix, h_p, gauge: PhaseGauge) -> AuxiliaryF:
@@ -97,7 +102,7 @@ def auxiliary_f(h_i: HermitianMatrix, h_p, gauge: PhaseGauge) -> AuxiliaryF:
         c2=c2,
         gauge=gauge,
         a1=c1 * np.eye(h_i.dim) - rotated,
-        a2=np.diag(c2 - hp),
+        a2=c2 - hp,
     )
 
 
@@ -226,11 +231,11 @@ def power_limit_projector(
     ground = ground_state(h_i)
     if not ground.is_unique:
         raise ValueError("power limit needs a unique ground state")
-    c1 = top_eigenvalue(h_i.entries) + 1.0
+    # c1 I - U^dag h_i U is F's first piece; h_p does not enter it
+    aux = auxiliary_f(h_i, np.zeros(h_i.dim), gauge)
     r = np.abs(ground.vector)
     target = np.outer(r, r)
-    rotated = gauge.rotate(h_i)
-    normalized = (c1 * np.eye(h_i.dim) - rotated) / (c1 - ground.energy)
+    normalized = aux.a1 / (aux.c1 - ground.energy)
     _check_entrywise_nonnegative(normalized, 0.0)
 
     power = normalized
@@ -282,7 +287,8 @@ class ProofChainReport:
         return tuple(sample for sample in self.samples if not sample.ok)
 
 
-MIRROR_TOL = 1e-9
+# Relative to 1 + |shift(s)|, so that no verdict depends on the units of H.
+MIRROR_RTOL = 1e-9
 
 
 def default_chain_grid(points: int = 101) -> np.ndarray:
@@ -304,8 +310,9 @@ def verify_proof_chain_pair(
     primitive with exponent within the Wielandt bound, has a simple
     largest eigenvalue with strictly positive eigenvector, and that this
     eigenvalue mirrors the interpolated ground level through the shift:
-    ``max eig F(s) + e0(H(s)) = (1-s) c1 + s c2``.  ``h_p`` may take any
-    form :func:`~gapcert.paulialg.diagonal_values` accepts.
+    ``max eig F(s) + e0(H(s)) = (1-s) c1 + s c2`` to ``MIRROR_RTOL`` times
+    ``1 + |shift|``.  ``h_p`` may take any form
+    :func:`~gapcert.paulialg.diagonal_values` accepts.
 
     Primitivity depends on F(s) only through its structural pattern, so
     :func:`primitivity` runs only when a sample's pattern differs from the
@@ -337,9 +344,12 @@ def verify_proof_chain_pair(
             and np.max(np.abs(perron.vector.imag)) <= 1e-9
         )
 
-        e0 = float(low_spectrum((1.0 - s) * h_i.entries + np.diag(s * hp), 1)[0][0])
-        mirror_defect = abs(-perron.energy - (aux.shift(s) - e0))
-        mirror_ok = mirror_defect <= MIRROR_TOL
+        h_s = (1.0 - s) * h_i.entries
+        h_s.flat[:: h_i.dim + 1] += s * hp
+        e0 = float(low_spectrum(h_s, 1)[0][0])
+        shift = aux.shift(s)
+        mirror_defect = abs(-perron.energy - (shift - e0))
+        mirror_ok = mirror_defect <= MIRROR_RTOL * (1.0 + abs(shift))
 
         note = ""
         if not certificate.is_primitive:

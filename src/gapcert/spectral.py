@@ -13,10 +13,10 @@ or ``zheevr``, asked for the ``m`` lowest pairs only.  No pair is used
 before it is phase-fixed and checked by residual and orthonormality.  The
 two helpers that do so take a leading stack axis of operators:
 :func:`low_spectrum` applies them to one operator (a stack of one), and
-the sweep to a chunk of grid points at a time.  :func:`ground_state` makes
-exactly one solve: its degeneracy verdict scales with the Gershgorin width
-of ``h``, which contains the spectral width and costs one pass over the
-entries.
+the sweep to a chunk of grid points or to one refinement point.
+:func:`ground_state` makes exactly one solve: its degeneracy verdict
+scales with the Gershgorin width of ``h``, which contains the spectral
+width and costs one pass over the entries.
 """
 
 from __future__ import annotations
@@ -222,7 +222,7 @@ def lapack_pairs(entries: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
     anything else to ``zheevr`` with its optimal workspace, each asked for
     the index range 1..m only; the solver reads one triangle of the array.
     The pairs are neither phase-fixed nor checked: :func:`low_spectrum` does
-    both for one operator, the sweep for a stack of grid points.
+    both for one operator, the sweep for a stack of points.
 
     Returns
     -------

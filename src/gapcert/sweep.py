@@ -11,22 +11,23 @@ true minimizer lands on a grid point.  Every solve, at a grid point or
 inside the refinement, is one call of :func:`~gapcert.spectral.lapack_pairs`
 and computes only the levels it reports.
 
-The grid is solved in chunks of at most ``CHUNK_BYTES`` of stacked
-eigenvectors: one driver call per point, then one vectorised pass over the
-chunk that phase-fixes and checks every pair (the helpers behind
-:func:`~gapcert.spectral.low_spectrum`, on a stack) and differentiates.  A
-refinement solve goes through :func:`~gapcert.spectral.low_spectrum`.
+Grid and refinement points share one solve: one driver call per point,
+then one vectorised pass over the points that phase-fixes and checks every
+pair (the helpers behind :func:`~gapcert.spectral.low_spectrum`, on a
+stack) and differentiates.  The grid goes through it in chunks of at most
+``CHUNK_BYTES`` of stacked eigenvectors, each refinement evaluation as one
+point with two levels, so a failed check names its point by ``s`` either way.
 
 Every solve also yields, for almost nothing, one block of Hellmann--Feynman
 matrix elements ``<psi_k| dH/ds |psi_j>`` (j = 0, 1) from its checked
 eigenvectors, with ``dH/ds = a' h_i + b' diag(h_p)`` at the schedule's
-one-sided slopes; on the grid it reuses the check's product ``h_i @ V``.
-Its diagonal gives the gap's slope, which guides the refinement: where the
-slopes at the two ends of a grid step go (-, +), the slope's root is found
-there to ``REFINE_XATOL``; any other step is probed at its two
-golden-section points first, where a dip hidden inside it shows.  Its
-first column, ``<psi_k| dH/ds |psi_0>`` for k >= 1, is kept at every grid
-point as the profile's ``couplings``.
+one-sided slopes; it reuses the check's products ``h_i @ V`` and
+``diag(h_p) @ V``.  Its diagonal gives the gap's slope, which guides the
+refinement: where the slopes at the two ends of a grid step go (-, +),
+the slope's root is found there to ``REFINE_XATOL``; any other step is
+probed at its two golden-section points first, where a dip hidden inside
+it shows.  Its first column, ``<psi_k| dH/ds |psi_0>`` for k >= 1, is
+kept at every grid point as the profile's ``couplings``.
 
 ``estimate_runtime`` turns a crossing-free profile into the standard
 worst-case adiabatic ratio ``max |<psi_m| dH |psi_0>| / gap_m**2`` over
@@ -51,7 +52,6 @@ from .spectral import (
     _phase_factors,
     _validate_pairs,
     lapack_pairs,
-    low_spectrum,
     top_eigenvalue,
 )
 
@@ -127,18 +127,18 @@ def _schedule_max_slopes(schedule: ScheduleSpec) -> tuple[float, float]:
     return float(np.max(np.abs(da))), float(np.max(np.abs(db)))
 
 
-def _hellmann_feynman(av, hp, vecs, da, db) -> tuple[np.ndarray, np.ndarray]:
+def _hellmann_feynman(av, pv, vecs, da, db) -> tuple[np.ndarray, np.ndarray]:
     """The gap's slope and the couplings at a stack of solved points.
 
     ``vecs`` holds each point's eigenvectors of ``a h_i + b diag(hp)``,
-    shape ``(points, d, m)``, ``av`` the products ``h_i @ vecs`` and ``da``,
-    ``db`` the schedule's slopes there, shape ``(points,)``.  The block
+    shape ``(points, d, m)``, ``av`` and ``pv`` the products ``h_i @ vecs``
+    and ``diag(hp) @ vecs``, and ``da``, ``db`` the schedule's slopes
+    there, shape ``(points,)``.  The block
     ``<psi_k| dH/ds |psi_j>``, j = 0, 1, gives the gap's slope
     ``E_1' - E_0'`` on its diagonal (Hellmann--Feynman) and the couplings
     ``<psi_k| dH/ds |psi_0>``, k >= 1, in its first column.
     """
-    pair = vecs[:, :, :2]
-    derivative = da[:, None, None] * av[:, :, :2] + db[:, None, None] * (hp[:, None] * pair)
+    derivative = da[:, None, None] * av[:, :, :2] + db[:, None, None] * pv[:, :, :2]
     block = vecs.conj().swapaxes(1, 2) @ derivative
     return (block[:, 1, 1] - block[:, 0, 0]).real, block[:, 1:, 0]
 
@@ -212,54 +212,43 @@ def sweep_pair(
         raise ValueError(f"m_levels must lie in 2..{d}, got {m_levels}")
 
     grid = np.linspace(0.0, 1.0 - 1.0 / grid_points, grid_points)
-    a, b = schedule.coefficients(grid)
     # h_i was validated (and, if real, stored as float64) when it was built;
-    # every grid operator below is Hermitian by construction.
+    # every operator below is Hermitian by construction.
     A = h_i.entries
     diagonal = np.diag_indices(d)
 
-    def operator_at(aa: float, bb: float) -> np.ndarray:
-        op = aa * A
-        op[diagonal] += bb * hp
-        return op
-
-    da, db = schedule.slopes(grid)
-
-    def solve_chunk(chunk: slice) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        # One driver call per point, then one stacked pass over the chunk:
+    def solve(points: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        # The one solve of the sweep, at grid and refinement points alike:
+        # one driver call per point, then one stacked pass over the points,
         # the phase convention, the pair check and the Hellmann--Feynman
-        # block, which shares the check's product A @ vecs.
-        solved = [
-            lapack_pairs(operator_at(aa, bb), m_levels) for aa, bb in zip(a[chunk], b[chunk])
-        ]
+        # block, which share the products of h_i and of diag(hp) with vecs.
+        a, b = schedule.coefficients(points)
+        solved = []
+        for aa, bb in zip(a, b):
+            op = aa * A
+            op[diagonal] += bb * hp
+            solved.append(lapack_pairs(op, m))
         values = np.array([w for w, _ in solved])
         vecs = np.stack([v for _, v in solved])
         del solved
         vecs *= _phase_factors(vecs)[:, np.newaxis, :]
-        av = A @ vecs
-        action = a[chunk, None, None] * av + b[chunk, None, None] * (hp[:, None] * vecs)
-        _validate_pairs(action, values, vecs, grid[chunk])
-        return values, *_hellmann_feynman(av, hp, vecs, da[chunk], db[chunk])
+        av, pv = A @ vecs, hp[:, np.newaxis] * vecs
+        _validate_pairs(a[:, None, None] * av + b[:, None, None] * pv, values, vecs, points)
+        return values, *_hellmann_feynman(av, pv, vecs, *schedule.slopes(points))
 
     per_chunk = max(1, CHUNK_BYTES // (d * m_levels * A.itemsize))
     chunks = [
-        solve_chunk(slice(start, start + per_chunk))
+        solve(grid[start : start + per_chunk], m_levels)
         for start in range(0, grid_points, per_chunk)
     ]
-    levels = np.concatenate([values for values, _, _ in chunks])
-    slopes = np.concatenate([slope for _, slope, _ in chunks])
-    # their dtype is the solved eigenvectors' own
-    couplings = np.concatenate([coupling for _, _, coupling in chunks])
+    # the couplings' dtype is the solved eigenvectors' own
+    levels, slopes, couplings = (np.concatenate(parts) for parts in zip(*chunks))
     gap1 = levels[:, 1] - levels[:, 0]
     width = float(levels.max() - levels.min())
     tolerance = CROSSING_RTOL * (1.0 + width)
 
     def gap_and_slope(tau: float) -> tuple[float, float]:
-        at = np.array([tau])
-        (aa,), (bb,) = schedule.coefficients(at)
-        da_t, db_t = schedule.slopes(at)
-        w, pair = low_spectrum(operator_at(aa, bb), 2)
-        (slope,), _ = _hellmann_feynman((A @ pair)[np.newaxis], hp, pair[np.newaxis], da_t, db_t)
+        (w,), (slope,), _ = solve(np.array([tau]), 2)
         return float(w[1] - w[0]), float(slope)
 
     # Any true closing between grid points leaves a local minimum whose
@@ -287,50 +276,40 @@ def sweep_pair(
         if gap1[k] <= candidate_cut and is_local_minimum(k)
     )
 
-    refined: list[tuple[int, float, float]] = []
+    # each candidate's bracket and refined minimum, closing or not
+    refined: list[CrossingInterval] = []
     known: dict[float, tuple[float, float]] = {}
     for k in sorted(candidates):
         around = range(max(k - 1, 0), min(k + 2, grid_points))
         known.update((float(grid[j]), (float(gap1[j]), float(slopes[j]))) for j in around)
+        bracket = tuple(float(grid[j]) for j in around)
         result = minimize_scalar(
             gap_and_slope,
-            bracket=tuple(float(grid[j]) for j in around),
+            bracket=bracket,
             method=_slope_guided,
             options={"known": known, "xatol": REFINE_XATOL},
         )
         s_star, g_star = float(result.x), float(result.fun)
         if gap1[k] < g_star:  # keep the better of grid vs refined
             s_star, g_star = float(grid[k]), float(gap1[k])
-        refined.append((k, s_star, g_star))
+        refined.append(CrossingInterval(bracket[0], bracket[-1], s_star, g_star))
 
-    crossings = []
-    last_star = None
-    for k, s_star, g_star in refined:
-        if g_star > tolerance:
+    crossings: list[CrossingInterval] = []
+    for interval in refined:
+        if interval.gap_star > tolerance:
             continue
-        if last_star is not None and abs(s_star - last_star) <= step:
+        if crossings and abs(interval.s_star - crossings[-1].s_star) <= step:
             continue  # same closing reached from two adjacent candidates
-        crossings.append(
-            CrossingInterval(
-                s_lo=float(grid[max(k - 1, 0)]),
-                s_hi=float(grid[min(k + 1, grid_points - 1)]),
-                s_star=s_star,
-                gap_star=g_star,
-            )
-        )
-        last_star = s_star
+        crossings.append(interval)
 
-    best_k, best_s, best_g = min(refined, key=lambda item: item[2])
-    grid_k = int(np.argmin(gap1))
-    if gap1[grid_k] < best_g:
-        best_s, best_g = float(grid[grid_k]), float(gap1[grid_k])
-    minimum = MinGap(value=best_g, s=best_s)
+    # the grid's minimum is a candidate, so this is never above it
+    best = min(refined, key=lambda interval: interval.gap_star)
 
     return GapProfile(
         grid=grid,
         levels=levels,
         gap1=gap1,
-        min_gap=minimum,
+        min_gap=MinGap(value=best.gap_star, s=best.s_star),
         crossings=tuple(crossings),
         spectral_width=width,
         schedule=schedule,

@@ -1,5 +1,6 @@
 import sys
 
+import numpy as np
 import pytest
 
 from gapcert import spectral
@@ -28,4 +29,19 @@ def solve_log(monkeypatch):
         return solve(h, m)
 
     patch_solver(monkeypatch, counting)
+    return log
+
+
+@pytest.fixture
+def complex_solves(monkeypatch):
+    """Whether each :func:`gapcert.spectral.lapack_pairs` call, in order, was
+    given a complex array, whichever gapcert module makes it."""
+    log = []
+    solve = spectral.lapack_pairs
+
+    def recording(h, m):
+        log.append(np.iscomplexobj(h))
+        return solve(h, m)
+
+    patch_solver(monkeypatch, recording)
     return log

@@ -56,11 +56,17 @@ def test_gauge_identity_for_positive_ground():
 
 
 def test_gauge_alternating_signs_for_positive_transverse():
-    # positive transverse terms: ground components carry sign (-1)^weight
+    # positive transverse terms: ground components carry sign (-1)^weight,
+    # and the gauge's half turns are exactly -1, so the rotation stays real
     h = pauli(2, [(1.5, "XI"), (1.5, "IX")])
     gauge = extract_gauge(ground_state(h))
     want = np.array([1.0, -1.0, -1.0, 1.0])
     assert np.max(np.abs(gauge.diagonal() - want)) < 1e-12
+    assert np.array_equal(gauge.phases, [0.0, np.pi, np.pi, 0.0])
+    assert np.array_equal(gauge.diagonal(), want)
+    rotated = gauge.rotate(h)
+    assert rotated.dtype == np.float64 and not rotated.flags.writeable
+    assert np.array_equal(rotated, -np.abs(h.entries))
 
 
 def test_gauge_recovers_random_phases():
@@ -121,6 +127,17 @@ def test_phase_gauge_rotate_keeps_the_dtype_rule_without_revalidating(monkeypatc
     assert got.dtype == np.float64 and not got.flags.writeable
     u = gauge.diagonal()
     assert np.array_equal(got, (u.conj()[:, np.newaxis] * h.entries * u[np.newaxis, :]).real)
+
+
+def test_a_real_instance_reports_real_violations():
+    # a frustrated real h_i: its unique ground state has signs, so its gauge
+    # is one of signs, and the rotated entries that violate (2) are real
+    h_i = pauli(2, [(1.0, "XI"), (0.7, "IX"), (0.4, "XX"), (0.3, "ZI"), (0.2, "IZ")])
+    report = certify_pair(h_i, DiagonalSpec.from_values(2, [0, 2, 6, 8]))
+    assert report.condition1.passed and not report.condition2.passed
+    assert np.pi in report.gauge.phases
+    assert report.condition2.violations
+    assert all(v.value.imag == 0.0 for v in report.condition2.violations)
 
 
 # ---------------------------------------------------------------------------

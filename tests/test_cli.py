@@ -356,6 +356,15 @@ terms = 1.0 XII, 0.7 IXI, 0.4 IIX, -0.3 ZZI
 diagonal = 0.0, 3.0, 1.0, 6.0, 2.0, 5.0, 4.0, 7.0
 """
 
+# a Y term keeps an imaginary entry in h_i: the complex chain
+THREE_QUBIT_COMPLEX = """\
+qubits = 3
+[Hi]
+terms = -0.6 XII, -0.8 YII, -0.7 IXI, -0.4 IIX, -0.3 ZZI
+[Hp]
+diagonal = 0.0, 3.0, 1.0, 6.0, 2.0, 5.0, 4.0, 7.0
+"""
+
 THREE_QUBIT_HOPPING = """\
 qubits = 3
 [Hi]
@@ -365,7 +374,23 @@ diagonal = 0.0, 3.0, 1.0, 6.0, 2.0, 5.0, 4.0, 7.0
 """
 
 
-def test_every_eigenpair_comes_from_the_seam(run, spec_file, monkeypatch):
+def test_a_sign_gauge_keeps_a_real_instance_on_the_real_solver(run, tmp_path, complex_solves):
+    path = str(tmp_path / "t.txt")
+    code, _, err = run("case", "transverse-positive", "--n", "3", "--g", "0.7", "--out", path)
+    assert code == 0, err
+    with open(path, encoding="utf-8") as handle:
+        instance = parse_instance(handle.read())
+    h_i, gauge = instance.h_i_matrix(), certify(instance).gauge
+    assert np.pi in gauge.phases  # a gauge of signs, not the identity
+    assert gauge.rotate(h_i).dtype == np.float64
+    del complex_solves[:]
+    for command in ("certify", "verify-proof"):
+        code, _, err = run(command, path)
+        assert code == 0, (command, err)
+    assert complex_solves and not any(complex_solves)
+
+
+def test_every_eigenpair_comes_from_the_seam(run, spec_file, monkeypatch, complex_solves):
     def forbidden(*args, **kwargs):
         raise AssertionError("eigensolver called outside spectral.lapack_pairs")
 
@@ -374,15 +399,23 @@ def test_every_eigenpair_comes_from_the_seam(run, spec_file, monkeypatch):
     monkeypatch.setattr(scipy.linalg, "eigh", forbidden)
 
     gauged = spec_file(THREE_QUBIT_GAUGED, "gauged.spec")
+    complex_chain = spec_file(THREE_QUBIT_COMPLEX, "complex.spec")
     for argv in (
         ("certify", gauged),
         ("sweep", gauged, "--grid", "21"),
         ("estimate", gauged, "--grid", "21"),
         ("verify-proof", gauged, "--grid", "11"),
         ("blocks", spec_file(THREE_QUBIT_HOPPING, "hopping.spec")),
+        ("certify", complex_chain),
+        ("verify-proof", complex_chain, "--grid", "11"),
     ):
+        del complex_solves[:]
         code, _, err = run(*argv)
         assert code == 0, (argv, err)
+        # a real h_i stays on dsyevr throughout; the complex one's chain
+        # runs on zheevr
+        assert set(complex_solves) == {argv[1] == complex_chain}
+    assert parse_instance(THREE_QUBIT_COMPLEX).h_i_matrix().entries.dtype == np.complex128
     instance = parse_instance(THREE_QUBIT_GAUGED)
     report = certify(instance)
     assert power_limit_projector(instance.h_i_matrix(), report.gauge).n_power >= 1

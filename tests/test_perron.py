@@ -60,7 +60,7 @@ def test_auxiliary_pieces_single_qubit_frozen():
     aux = auxiliary_f(h_i, h_p, IDENTITY_GAUGE_2)
     assert aux.c1 == 1.5 and aux.c2 == 2.0
     assert np.array_equal(aux.a1, np.array([[1.5, 0.5], [0.5, 1.5]]))
-    assert np.array_equal(aux.a2, np.diag([2.0, 1.0]).astype(complex))
+    assert np.array_equal(aux.a2, np.array([2.0, 1.0]))  # c2 - h_p, a vector
     assert np.array_equal(aux.sample(0.5), np.array([[1.75, 0.25], [0.25, 1.25]]))
     assert aux.shift(0.5) == 1.75
     with pytest.raises(ValueError):
@@ -74,7 +74,7 @@ def test_f_convex_combination_everywhere():
     gauge = extract_gauge(ground_state(h_i))
     aux = auxiliary_f(h_i, h_p, gauge)
     for s in rng.uniform(0, 1, size=10):
-        want = (1.0 - s) * aux.a1 + s * aux.a2
+        want = (1.0 - s) * aux.a1 + s * np.diag(aux.a2)
         assert np.max(np.abs(aux.sample(float(s)) - want)) < 1e-15
 
 
@@ -402,6 +402,27 @@ def test_chain_fails_nonnegativity_for_sign_violating_driver():
         assert sample.primitive is None and sample.spectral_mirror is None
         assert not sample.ok
     assert "samples failed" in render_chain_text(chain)
+
+
+@pytest.mark.parametrize("scale", [1e6, 1e8])
+def test_chain_verdicts_do_not_depend_on_units(scale):
+    # the same certified pair in other units: every link's verdict, the
+    # spectral mirror's included, is the one at unit scale
+    h_p = DiagonalSpec.from_values(4, np.linspace(0.0, 5.0, 16) ** 1.3 % 4.0)
+    instance = build_case(CaseParams("bit_rotation", 4, a0=0.3, ai=(-1.0, -0.6, -0.3, -0.8)), h_p)
+    h_i, hp = instance.h_i_matrix(), np.array(h_p.values)
+    gauge = certify(instance).gauge
+
+    def verdicts(chain):
+        return [
+            (s.nonnegative, s.primitive, s.n0, s.perron_simple_positive, s.spectral_mirror)
+            for s in chain.samples
+        ]
+
+    unit = verify_proof_chain_pair(h_i, hp, gauge)
+    scaled = verify_proof_chain_pair(HermitianMatrix(scale * h_i.entries), scale * hp, gauge)
+    assert unit.passed
+    assert verdicts(scaled) == verdicts(unit)
 
 
 def test_chain_respects_custom_sample_points():

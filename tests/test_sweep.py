@@ -324,6 +324,31 @@ def test_a_pair_corrupted_inside_a_chunk_names_its_point(kind, corrupt, monkeypa
     assert len(calls) == 6  # the chunk was solved, and nothing after it
 
 
+@pytest.mark.parametrize("kind", sorted(SEAM_PAIRS))
+def test_a_pair_corrupted_at_a_refinement_evaluation_names_its_point(kind, monkeypatch):
+    # the grid solves for 4 levels and the norm bound for 1, so the first
+    # two-level solve is the refinement's first evaluation
+    h_i = SEAM_PAIRS[kind]
+    solve = sweep_module.lapack_pairs
+    corrupted_operators = []
+
+    def corrupted(h, m):
+        values, vectors = solve(h, m)
+        if m == 2 and not corrupted_operators:
+            corrupted_operators.append(h.copy())
+            values[1] += 1e-6
+        return values, vectors
+
+    patch_solver(monkeypatch, corrupted)
+    with pytest.raises(EigensolverError, match=r"residual .* at s = \S+$") as failure:
+        sweep_pair(h_i, SEAM_HP, grid_points=41)
+    s = float(str(failure.value).rsplit(" ", 1)[1])
+    assert s not in np.linspace(0.0, 1.0 - 1.0 / 41, 41)
+    # the named s is the one whose operator was solved
+    (a,), (b,) = LINEAR.coefficients([s])
+    assert np.array_equal(corrupted_operators[0], a * h_i.entries + np.diag(b * SEAM_HP))
+
+
 def test_a_long_sweep_holds_no_stack_of_the_whole_grid():
     instance = hidden_dip_instance()
     h_i, hp = instance.h_i_matrix(), np.array(instance.h_p.values)
