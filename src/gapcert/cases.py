@@ -25,7 +25,7 @@ be certified block by block.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -33,14 +33,17 @@ from .certifier import CertificateReport, certify_pair
 from .paulialg import MAX_QUBITS, DiagonalSpec, HermitianMatrix, PauliExpression, ProjectorSpec
 from .specfile import InstanceSpec
 
-FAMILIES = (
-    "bit_rotation",
-    "xy_hopping",
-    "heisenberg",
-    "projector_uniform",
-    "transverse_positive",
-    "counterexample",
-)
+# Each family and the coefficients of CaseParams it takes; every other
+# coefficient must stay at its default.
+COEFFICIENTS = {
+    "bit_rotation": ("a0", "ai"),
+    "xy_hopping": (),
+    "heisenberg": ("a0", "aij"),
+    "projector_uniform": (),
+    "transverse_positive": ("g",),
+    "counterexample": (),
+}
+FAMILIES = tuple(COEFFICIENTS)
 
 COUNTEREXAMPLE_TERMS = ((-2.0, "XI"), (1.0, "IX"), (1.0, "IZ"), (-2.0, "XX"))
 COUNTEREXAMPLE_HP = (0.0, 2.0, 6.0, 8.0)
@@ -62,7 +65,8 @@ def _axes_with(n: int, placements: dict[int, str]) -> str:
 
 @dataclass(frozen=True)
 class CaseParams:
-    """Coefficients for one family; unused fields stay at their defaults."""
+    """Coefficients for one family; those it does not take (``COEFFICIENTS``)
+    must stay at their defaults."""
 
     family: str
     n_qubits: int
@@ -78,6 +82,14 @@ class CaseParams:
             )
         if not 1 <= self.n_qubits <= MAX_QUBITS:
             raise ValueError(f"n_qubits must lie in 1..{MAX_QUBITS}")
+        taken = COEFFICIENTS[self.family]
+        stray = [
+            f.name for f in fields(self)[2:]  # after family and n_qubits
+            if f.name not in taken and getattr(self, f.name) != f.default
+        ]
+        if stray:
+            accepted = "only " + ", ".join(taken) if taken else "no free coefficients"
+            raise ValueError(f"{self.family} takes {accepted}, not {', '.join(stray)}")
         if self.family == "bit_rotation":
             if self.ai is None or len(self.ai) != self.n_qubits:
                 raise ValueError(
@@ -103,9 +115,6 @@ class CaseParams:
         elif self.family == "counterexample":
             if self.n_qubits != 2:
                 raise ValueError("the counterexample is a two-qubit operator")
-        if self.family in ("xy_hopping", "projector_uniform", "counterexample"):
-            if self.ai is not None or self.aij is not None or self.g is not None:
-                raise ValueError(f"{self.family} takes no free coefficients")
 
 
 def case_h_i(params: CaseParams):

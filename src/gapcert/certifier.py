@@ -97,31 +97,30 @@ class Condition2Violation:
 
 @dataclass(frozen=True)
 class Condition2Result:
-    passed: bool
     violations: tuple[Condition2Violation, ...]
     evaluated: bool = True
+
+    @property
+    def passed(self) -> bool:
+        return self.evaluated and not self.violations
 
 
 @dataclass(frozen=True)
 class CertificateReport:
+    """The two conditions, the gauge of condition (1) when it holds, and
+    the verdict, which is their conjunction."""
+
     condition1: Condition1Result
     condition2: Condition2Result
-    overall: str
     gauge: PhaseGauge | None
-
-    def __post_init__(self) -> None:
-        certified = self.condition1.passed and self.condition2.passed
-        expected = "certified" if certified else "not_certified"
-        if self.overall != expected:
-            raise ValueError(
-                f"inconsistent report: overall {self.overall!r} with "
-                f"condition1={self.condition1.passed}, "
-                f"condition2={self.condition2.passed}"
-            )
 
     @property
     def is_certified(self) -> bool:
-        return self.overall == "certified"
+        return self.condition1.passed and self.condition2.passed
+
+    @property
+    def overall(self) -> str:
+        return "certified" if self.is_certified else "not_certified"
 
 
 def extract_gauge(ground: GroundState) -> PhaseGauge:
@@ -169,7 +168,7 @@ def check_condition2(h_i: HermitianMatrix, gauge: PhaseGauge) -> Condition2Resul
         Condition2Violation(int(i), int(j), complex(rotated[i, j]))
         for i, j in zip(*np.nonzero(bad))
     )
-    return Condition2Result(passed=not violations, violations=violations)
+    return Condition2Result(violations)
 
 
 def certify_pair(h_i: HermitianMatrix, h_p) -> CertificateReport:
@@ -193,15 +192,8 @@ def certify_pair(h_i: HermitianMatrix, h_p) -> CertificateReport:
     if gauge is not None:
         condition2 = check_condition2(h_i, gauge)
     else:
-        condition2 = Condition2Result(passed=False, violations=(), evaluated=False)
-
-    certified = condition1.passed and condition2.passed
-    return CertificateReport(
-        condition1=condition1,
-        condition2=condition2,
-        overall="certified" if certified else "not_certified",
-        gauge=gauge,
-    )
+        condition2 = Condition2Result(violations=(), evaluated=False)
+    return CertificateReport(condition1, condition2, gauge)
 
 
 def certify(instance: InstanceSpec) -> CertificateReport:

@@ -155,6 +155,15 @@ def _stored(entries: np.ndarray) -> np.ndarray:
     return entries
 
 
+def _scaled_plus_diagonal(a, entries: np.ndarray, b, values: np.ndarray) -> np.ndarray:
+    """A new array ``a * entries`` with ``b * values`` added on its diagonal:
+    how every operator of an interpolation, ``a H_i + diag(b h_p)`` or a
+    proof-chain ``F(s)``, is formed."""
+    out = a * entries
+    out.flat[:: out.shape[0] + 1] += b * values
+    return out
+
+
 @dataclass(frozen=True, eq=False)
 class HermitianMatrix:
     """A dense matrix validated to be Hermitian, held real when it is real.

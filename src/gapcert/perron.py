@@ -32,7 +32,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components, shortest_path
 
 from .certifier import PhaseGauge
-from .paulialg import PATTERN_RTOL, HermitianMatrix, diagonal_values
+from .paulialg import PATTERN_RTOL, HermitianMatrix, _scaled_plus_diagonal, diagonal_values
 from .specfile import InstanceSpec
 from .spectral import ground_state, low_spectrum, top_eigenvalue
 
@@ -80,9 +80,7 @@ class AuxiliaryF:
     def sample(self, s: float) -> np.ndarray:
         if not 0.0 <= s <= 1.0:
             raise ValueError(f"sample point s = {s} outside [0, 1]")
-        f = (1.0 - s) * self.a1
-        f.flat[:: self.dim + 1] += s * self.a2
-        return f
+        return _scaled_plus_diagonal(1.0 - s, self.a1, s, self.a2)
 
 
 def auxiliary_f(h_i: HermitianMatrix, h_p, gauge: PhaseGauge) -> AuxiliaryF:
@@ -137,16 +135,19 @@ def _check_entrywise_nonnegative(f: np.ndarray, s: float) -> np.ndarray:
 class PrimitivityCertificate:
     """Graph-structure verdict for a nonnegative matrix.
 
-    ``n0`` is the minimal exponent with strictly positive power (set when
-    primitive), ``period`` the cycle-length gcd (set when irreducible but
-    not primitive), ``reducible_blocks`` the strongly connected components
+    ``n0`` is the minimal exponent with strictly positive power (set when,
+    and only when, primitive), ``period`` the cycle-length gcd (set when
+    irreducible), ``reducible_blocks`` the strongly connected components
     (set when reducible).
     """
 
-    is_primitive: bool
     n0: int | None = None
     period: int | None = None
     reducible_blocks: tuple[tuple[int, ...], ...] | None = None
+
+    @property
+    def is_primitive(self) -> bool:
+        return self.n0 is not None
 
 
 def _digraph_period(graph) -> int:
@@ -191,21 +192,19 @@ def primitivity(matrix) -> PrimitivityCertificate:
 
     if d == 1:
         if pattern[0, 0]:
-            return PrimitivityCertificate(is_primitive=True, n0=1, period=1)
-        return PrimitivityCertificate(is_primitive=False, reducible_blocks=((0,),))
+            return PrimitivityCertificate(n0=1, period=1)
+        return PrimitivityCertificate(reducible_blocks=((0,),))
 
     graph = csr_matrix(pattern)
     n_components, labels = connected_components(graph, directed=True, connection="strong")
     if n_components > 1:
         blocks = sorted(tuple(np.flatnonzero(labels == c).tolist()) for c in range(n_components))
-        return PrimitivityCertificate(is_primitive=False, reducible_blocks=tuple(blocks))
+        return PrimitivityCertificate(reducible_blocks=tuple(blocks))
 
     period = _digraph_period(graph)
     if period != 1:
-        return PrimitivityCertificate(is_primitive=False, period=period)
-    return PrimitivityCertificate(
-        is_primitive=True, n0=_minimal_positive_power(pattern), period=1
-    )
+        return PrimitivityCertificate(period=period)
+    return PrimitivityCertificate(n0=_minimal_positive_power(pattern), period=1)
 
 
 @dataclass(frozen=True)
@@ -312,20 +311,22 @@ def verify_proof_chain_pair(
     eigenvalue mirrors the interpolated ground level through the shift:
     ``max eig F(s) + e0(H(s)) = (1-s) c1 + s c2`` to ``MIRROR_RTOL`` times
     ``1 + |shift|``.  ``h_p`` may take any form
-    :func:`~gapcert.paulialg.diagonal_values` accepts.
+    :func:`~gapcert.paulialg.diagonal_values` accepts.  An empty
+    ``s_samples`` raises ``ValueError``: a chain that checks no sample
+    does not pass.
 
     Primitivity depends on F(s) only through its structural pattern, so
     :func:`primitivity` runs only when a sample's pattern differs from the
     previous sample's; on [0, 1) that is once per chain.
     """
+    s_samples = default_chain_grid() if s_samples is None else np.asarray(s_samples, float)
+    if not s_samples.size:
+        raise ValueError("the proof chain needs at least 1 sample point, got 0")
     hp = diagonal_values(h_p, h_i.dim)
     aux = auxiliary_f(h_i, hp, gauge)
-    if s_samples is None:
-        s_samples = default_chain_grid()
     samples = []
     pattern = certificate = None
-    for s in np.asarray(s_samples, dtype=float):
-        s = float(s)
+    for s in s_samples.tolist():
         f = aux.sample(s)
         try:
             sample_pattern = _check_entrywise_nonnegative(f, s)
@@ -344,8 +345,7 @@ def verify_proof_chain_pair(
             and np.max(np.abs(perron.vector.imag)) <= 1e-9
         )
 
-        h_s = (1.0 - s) * h_i.entries
-        h_s.flat[:: h_i.dim + 1] += s * hp
+        h_s = _scaled_plus_diagonal(1.0 - s, h_i.entries, s, hp)
         e0 = float(low_spectrum(h_s, 1)[0][0])
         shift = aux.shift(s)
         mirror_defect = abs(-perron.energy - (shift - e0))

@@ -45,7 +45,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy.optimize import OptimizeResult, brentq, minimize_scalar
 
-from .paulialg import HermitianMatrix, diagonal_values
+from .paulialg import HermitianMatrix, _scaled_plus_diagonal, diagonal_values
 from .specfile import LINEAR, InstanceSpec, ScheduleSpec
 from .spectral import (
     DEGENERACY_RTOL,
@@ -215,7 +215,6 @@ def sweep_pair(
     # h_i was validated (and, if real, stored as float64) when it was built;
     # every operator below is Hermitian by construction.
     A = h_i.entries
-    diagonal = np.diag_indices(d)
 
     def solve(points: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         # The one solve of the sweep, at grid and refinement points alike:
@@ -223,11 +222,9 @@ def sweep_pair(
         # the phase convention, the pair check and the Hellmann--Feynman
         # block, which share the products of h_i and of diag(hp) with vecs.
         a, b = schedule.coefficients(points)
-        solved = []
-        for aa, bb in zip(a, b):
-            op = aa * A
-            op[diagonal] += bb * hp
-            solved.append(lapack_pairs(op, m))
+        solved = [
+            lapack_pairs(_scaled_plus_diagonal(aa, A, bb, hp), m) for aa, bb in zip(a, b)
+        ]
         values = np.array([w for w, _ in solved])
         vecs = np.stack([v for _, v in solved])
         del solved
@@ -264,17 +261,10 @@ def sweep_pair(
     step = grid[1] - grid[0]
     candidate_cut = max(tolerance, 2.0 * gap_slope * step)
 
-    def is_local_minimum(k: int) -> bool:
-        left_ok = k == 0 or gap1[k] <= gap1[k - 1]
-        right_ok = k == grid_points - 1 or gap1[k] <= gap1[k + 1]
-        return left_ok and right_ok
-
-    candidates = {int(np.argmin(gap1))}
-    candidates.update(
-        k
-        for k in range(grid_points)
-        if gap1[k] <= candidate_cut and is_local_minimum(k)
-    )
+    # a local minimum is no higher than either neighbour; the ends have one
+    beside = np.pad(gap1, 1, constant_values=np.inf)
+    low = (gap1 <= candidate_cut) & (gap1 <= beside[:-2]) & (gap1 <= beside[2:])
+    candidates = {int(np.argmin(gap1)), *np.flatnonzero(low).tolist()}
 
     # each candidate's bracket and refined minimum, closing or not
     refined: list[CrossingInterval] = []
@@ -354,10 +344,13 @@ class RuntimeEstimate:
     total-time suggestion ``worst_ratio / target_epsilon``."""
 
     worst_ratio: float
-    suggested_T: float
     target_epsilon: float
     worst_s: float
     worst_level: int
+
+    @property
+    def suggested_T(self) -> float:
+        return self.worst_ratio / self.target_epsilon
 
 
 def check_target_epsilon(target_epsilon: float) -> None:
@@ -399,15 +392,11 @@ def estimate_runtime(profile: GapProfile, target_epsilon: float = 0.1) -> Runtim
     )[bins]
     ratios = np.where(leads, np.sqrt(weights) / gaps**2, 0.0)
     point, slot = divmod(int(np.argmax(ratios)), slots)
-    worst = float(ratios[point, slot])
-    worst_s = float(profile.grid[point])
-    worst_level = slot + 1
     return RuntimeEstimate(
-        worst_ratio=worst,
-        suggested_T=worst / target_epsilon,
+        worst_ratio=float(ratios[point, slot]),
         target_epsilon=target_epsilon,
-        worst_s=worst_s,
-        worst_level=worst_level,
+        worst_s=float(profile.grid[point]),
+        worst_level=slot + 1,
     )
 
 
@@ -415,12 +404,9 @@ def export_profile(profile: GapProfile) -> str:
     """Render a profile as CSV: ``s,eps0,...,epsM,gap1``, one row per grid
     point, 17 significant digits (bit-exact round trip)."""
     m = profile.levels.shape[1]
+    rows = np.column_stack((profile.grid, profile.levels, profile.gap1)).tolist()
     lines = ["s," + ",".join(f"eps{i}" for i in range(m)) + ",gap1"]
-    for idx in range(profile.grid.size):
-        fields = [f"{profile.grid[idx]:.17g}"]
-        fields += [f"{profile.levels[idx, i]:.17g}" for i in range(m)]
-        fields.append(f"{profile.gap1[idx]:.17g}")
-        lines.append(",".join(fields))
+    lines += [",".join(f"{x:.17g}" for x in row) for row in rows]
     return "\n".join(lines) + "\n"
 
 

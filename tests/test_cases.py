@@ -67,6 +67,31 @@ def test_params_validation():
         CaseParams("projector_uniform", 40)
 
 
+@pytest.mark.parametrize(
+    "family, stray",
+    [
+        ("transverse_positive", {"g": 1.0, "a0": 3.0}),
+        ("xy_hopping", {"a0": 1.0}),
+        ("projector_uniform", {"a0": -1.0}),
+        ("counterexample", {"a0": 0.5}),
+        ("bit_rotation", {"ai": (-1.0, -1.0), "g": 1.0}),
+        ("heisenberg", {"aij": ((0, 1, -1.0),), "g": 1.0}),
+        ("bit_rotation", {"ai": (-1.0, -1.0), "aij": ((0, 1, -1.0),)}),
+        ("transverse_positive", {"g": 1.0, "aij": ((0, 1, -1.0),)}),
+        ("heisenberg", {"aij": ((0, 1, -1.0),), "ai": (-1.0, -1.0)}),
+    ],
+)
+def test_params_reject_a_coefficient_the_family_does_not_take(family, stray):
+    # the instance would be written without it, so it is refused
+    with pytest.raises(ValueError, match="takes (only|no free)"):
+        CaseParams(family, 2, **stray)
+
+
+def test_params_accept_an_untaken_coefficient_at_its_default():
+    assert CaseParams("transverse_positive", 2, g=1.0, a0=0.0).a0 == 0.0
+    assert CaseParams("counterexample", 2, ai=None, g=None).g is None
+
+
 # ---------------------------------------------------------------------------
 # operators
 

@@ -17,6 +17,7 @@ from gapcert.certifier import (
     Condition1Result,
     Condition1Violated,
     Condition2Result,
+    Condition2Violation,
     NonUniqueGround,
     PhaseGauge,
     certify,
@@ -223,11 +224,21 @@ def test_hp_vector_and_matrix_forms_give_identical_results():
     assert chains[0].samples == chains[1].samples
 
 
-def test_report_consistency_enforced():
-    c1 = Condition1Result(True, 1.0, 0.5)
-    c2 = Condition2Result(True, ())
-    with pytest.raises(ValueError):
-        CertificateReport(c1, c2, "not_certified", None)
+def test_report_verdict_follows_its_conditions():
+    # the verdict is derived from the two conditions, so no report can carry
+    # one that disagrees with them
+    condition2 = {
+        "pass": Condition2Result(()),
+        "fail": Condition2Result((Condition2Violation(0, 1, 0.5 + 0j),)),
+        "skipped": Condition2Result((), evaluated=False),
+    }
+    for passed1 in (True, False):
+        for outcome2, c2 in condition2.items():
+            assert c2.passed is (outcome2 == "pass")
+            report = CertificateReport(Condition1Result(passed1, 1.0, 0.5), c2, None)
+            certified = passed1 and outcome2 == "pass"
+            assert report.is_certified is certified
+            assert report.overall == ("certified" if certified else "not_certified")
 
 
 # ---------------------------------------------------------------------------

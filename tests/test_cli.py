@@ -202,6 +202,27 @@ def test_case_usage_errors(run):
     assert code == 1 and "MAX_QUBITS" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("transverse-positive", "--n", "2", "--g", "1", "--a0", "3"),
+        ("xy-hopping", "--n", "2", "--a0", "1"),
+        ("projector-uniform", "--n", "2", "--a0", "1"),
+        ("counterexample", "--a0", "1"),
+        ("bit-rotation", "--n", "2", "--ai", "-1,-1", "--g", "1"),
+        ("heisenberg", "--n", "2", "--aij", "-1", "--g", "1"),
+        ("bit-rotation", "--n", "2", "--ai", "-1,-1", "--aij", "-1"),
+        ("transverse-positive", "--n", "2", "--g", "1", "--aij", "-1"),
+        ("heisenberg", "--n", "2", "--aij", "-1", "--ai", "-1,-1"),
+    ],
+    ids=lambda argv: argv[0] + argv[-2],
+)
+def test_case_refuses_a_coefficient_its_family_does_not_take(run, argv):
+    code, out, err = run("case", *argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and "takes" in err
+
+
 # ---------------------------------------------------------------------------
 # blocks
 

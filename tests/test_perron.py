@@ -131,6 +131,9 @@ def test_primitivity_frozen_small_cases():
     with pytest.raises(ValueError):
         primitivity(np.array([[1.0, -0.5], [0.5, 1.0]]))
 
+    for cert in (primitivity(fib), primitivity(swap), blocks, lone):
+        assert cert.is_primitive == (cert.n0 is not None)
+
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(1.0, np.nan)])
 def test_primitivity_rejects_non_finite_entries(bad):
@@ -431,6 +434,15 @@ def test_chain_respects_custom_sample_points():
     chain = verify_proof_chain(instance, report.gauge, s_samples=[0.0, 0.25, 0.5])
     assert [s.s for s in chain.samples] == [0.0, 0.25, 0.5]
     assert chain.passed
+
+
+@pytest.mark.parametrize("empty", [[], (), np.array([])], ids=["list", "tuple", "array"])
+def test_chain_refuses_an_empty_sample_list(empty):
+    # a chain with no sample checks nothing, so it must not pass
+    instance = build_case(CaseParams("transverse_positive", 2, g=0.8))
+    gauge = certify(instance).gauge
+    with pytest.raises(ValueError, match="at least 1 sample point"):
+        verify_proof_chain(instance, gauge, s_samples=empty)
 
 
 def test_default_chain_grid_excludes_endpoint():
