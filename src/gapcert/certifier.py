@@ -78,6 +78,8 @@ class PhaseGauge:
         if h.dim != self.dim:
             raise ValueError(f"gauge is {self.dim}-dimensional, matrix {h.dim}")
         u = self.diagonal()
+        if not np.any(u.imag):  # a gauge of signs: real products, no complex copy
+            u = u.real
         return _stored(u.conj()[:, np.newaxis] * h.entries * u[np.newaxis, :])
 
 
@@ -162,8 +164,10 @@ def check_condition2(h_i: HermitianMatrix, gauge: PhaseGauge) -> Condition2Resul
     """
     rotated = gauge.rotate(h_i)
     tol = SIGN_RTOL * (1.0 + float(np.max(np.abs(h_i.entries))))
-    off = ~np.eye(h_i.dim, dtype=bool)
-    bad = off & ((rotated.real > tol) | (np.abs(rotated.imag) > tol))
+    bad = rotated.real > tol
+    if np.iscomplexobj(rotated):
+        bad |= np.abs(rotated.imag) > tol
+    np.fill_diagonal(bad, False)
     violations = tuple(
         Condition2Violation(int(i), int(j), complex(rotated[i, j]))
         for i, j in zip(*np.nonzero(bad))

@@ -7,6 +7,7 @@ Exit codes: 0 success / certified, 2 not certified, 1 any error.
 from __future__ import annotations
 
 import argparse
+import functools
 import re
 import sys
 
@@ -220,7 +221,10 @@ def _cmd_verify_proof(args) -> int:
     return 0 if chain.passed else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing keeps no state
+    in it, since every call gets a fresh namespace."""
     parser = _Parser(prog="gapcert", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -297,3 +301,7 @@ def main(argv=None) -> int:
 
 def entry() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    entry()

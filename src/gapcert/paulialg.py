@@ -155,11 +155,14 @@ def _stored(entries: np.ndarray) -> np.ndarray:
     return entries
 
 
-def _scaled_plus_diagonal(a, entries: np.ndarray, b, values: np.ndarray) -> np.ndarray:
-    """A new array ``a * entries`` with ``b * values`` added on its diagonal:
-    how every operator of an interpolation, ``a H_i + diag(b h_p)`` or a
-    proof-chain ``F(s)``, is formed."""
-    out = a * entries
+def _scaled_plus_diagonal(
+    a, entries: np.ndarray, b, values: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
+    """``a * entries`` with ``b * values`` added on its diagonal, written to
+    ``out`` if given, else to a new array: how every operator of an
+    interpolation, ``a H_i + diag(b h_p)`` or a proof-chain ``F(s)``, is
+    formed."""
+    out = np.multiply(a, entries, out=out)
     out.flat[:: out.shape[0] + 1] += b * values
     return out
 
@@ -187,7 +190,7 @@ class HermitianMatrix:
         scale = 1.0 + np.max(np.abs(m))
         if not np.isfinite(scale):
             raise ValueError("matrix has a non-finite entry")
-        defect = np.max(np.abs(m - m.conj().T))
+        defect = np.max(np.abs(m - (m.conj() if np.iscomplexobj(m) else m).T))
         if defect > HERMITICITY_RTOL * scale:
             raise ValueError(
                 f"matrix is not Hermitian: max |M - M^dag| = {defect:.3e} "
@@ -216,13 +219,18 @@ def build_pauli(expression: PauliExpression) -> HermitianMatrix:
     Works column-by-column in bit arithmetic: a string with X or Y on a
     set of qubits couples column z to row ``z ^ flip_mask``; Z and Y
     letters contribute sign/phase factors depending on the source bits.
+    With no Y letter every amplitude is real, and the terms are summed in
+    float64; each term's ``z ^ flip_mask`` is a permutation of the
+    columns, so the sums are those a complex matrix would hold.
     """
     n = expression.n_qubits
     d = 1 << n
-    out = np.zeros((d, d), dtype=complex)
+    has_y = any("Y" in string.axes for _, string in expression.terms)
+    dtype = complex if has_y else float
+    out = np.zeros((d, d), dtype=dtype)
     cols = np.arange(d)
     for coefficient, string in expression.terms:
-        amplitude = np.full(d, coefficient, dtype=complex)
+        amplitude = np.full(d, coefficient, dtype=dtype)
         flip_mask = 0
         for q, axis in enumerate(string.axes):
             if axis == "I":

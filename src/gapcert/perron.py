@@ -18,8 +18,10 @@ as a vector; under the sign gauge of a real ``h_i`` the first is real, and
 so is every F(s).  ``verify_proof_chain`` re-derives each link
 numerically on a sample grid; it decides primitivity once per distinct
 nonnegativity pattern and checks at every sample that the pattern is the
-one decided.  The result is a numerical corroboration of the argument at
-the sampled points, not a proof.
+one decided.  Each sample's two solves are checked and judged with those
+of its chunk of samples, in one stacked pass, as the sweep does with its
+grid.  The result is a numerical corroboration of the argument at the
+sampled points, not a proof.
 """
 
 from __future__ import annotations
@@ -32,9 +34,24 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components, shortest_path
 
 from .certifier import PhaseGauge
-from .paulialg import PATTERN_RTOL, HermitianMatrix, _scaled_plus_diagonal, diagonal_values
+from .paulialg import (
+    PATTERN_RTOL,
+    HermitianMatrix,
+    _scaled_plus_diagonal,
+    diagonal_values,
+)
 from .specfile import InstanceSpec
-from .spectral import ground_state, low_spectrum, top_eigenvalue
+from .spectral import (
+    CHUNK_BYTES,
+    _gershgorin_widths,
+    _ground_gaps,
+    _phase_factors,
+    _row_radii,
+    _validate_pairs,
+    ground_state,
+    lapack_pairs,
+    top_eigenvalue,
+)
 
 
 class EntryNegative(ValueError):
@@ -61,7 +78,8 @@ class AuxiliaryF:
 
     ``a1 = c1 I - U^dag h_i U`` and ``c2 I - h_p`` are the two convex
     pieces; the second is diagonal and held as its vector ``a2 = c2 - h_p``.
-    ``sample(s)`` returns ``(1-s) a1`` with ``s a2`` added on its diagonal.
+    ``sample(s)`` returns ``(1-s) a1`` with ``s a2`` added on its diagonal,
+    in ``out`` if given.
     """
 
     c1: float
@@ -77,10 +95,10 @@ class AuxiliaryF:
     def shift(self, s: float) -> float:
         return (1.0 - s) * self.c1 + s * self.c2
 
-    def sample(self, s: float) -> np.ndarray:
+    def sample(self, s: float, out: np.ndarray | None = None) -> np.ndarray:
         if not 0.0 <= s <= 1.0:
             raise ValueError(f"sample point s = {s} outside [0, 1]")
-        return _scaled_plus_diagonal(1.0 - s, self.a1, s, self.a2)
+        return _scaled_plus_diagonal(1.0 - s, self.a1, s, self.a2, out)
 
 
 def auxiliary_f(h_i: HermitianMatrix, h_p, gauge: PhaseGauge) -> AuxiliaryF:
@@ -317,59 +335,116 @@ def verify_proof_chain_pair(
 
     Primitivity depends on F(s) only through its structural pattern, so
     :func:`primitivity` runs only when a sample's pattern differs from the
-    previous sample's; on [0, 1) that is once per chain.
+    previous sample's; on [0, 1) that is once per chain.  Each sample makes
+    two solves, the Perron pair of F(s) and the ground level of H(s); the
+    samples are then judged a chunk at a time (see :func:`_judge_chunk`).
     """
     s_samples = default_chain_grid() if s_samples is None else np.asarray(s_samples, float)
     if not s_samples.size:
         raise ValueError("the proof chain needs at least 1 sample point, got 0")
     hp = diagonal_values(h_p, h_i.dim)
     aux = auxiliary_f(h_i, hp, gauge)
+    m = min(2, aux.dim)
+    radii = _row_radii(aux.a1)
+    per_chunk = max(1, CHUNK_BYTES // (aux.dim * (m + 1) * aux.a1.itemsize))
+    s_all = s_samples.tolist()
+    # each sample's F(s), -F(s) and H(s) are formed in these arrays, which
+    # LAPACK only reads: a fresh d x d array per sample costs its page
+    # faults anew.  They keep the dtypes of a1 and h_i.
+    f, negated, h_s = np.empty_like(aux.a1), np.empty_like(aux.a1), np.empty_like(h_i.entries)
     samples = []
     pattern = certificate = None
-    for s in s_samples.tolist():
-        f = aux.sample(s)
-        try:
-            sample_pattern = _check_entrywise_nonnegative(f, s)
-        except EntryNegative as exc:
-            samples.append(ProofSample(s=s, nonnegative=False, note=str(exc)))
-            continue
-
-        if pattern is None or not np.array_equal(sample_pattern, pattern):
-            pattern, certificate = sample_pattern, primitivity(f)
-
-        # The Perron pair of F(s) is the ground pair of -F(s).
-        perron = ground_state(-f)
-        simple_positive = bool(
-            perron.is_unique
-            and np.min(perron.vector.real) > 0.0
-            and np.max(np.abs(perron.vector.imag)) <= 1e-9
-        )
-
-        h_s = _scaled_plus_diagonal(1.0 - s, h_i.entries, s, hp)
-        e0 = float(low_spectrum(h_s, 1)[0][0])
-        shift = aux.shift(s)
-        mirror_defect = abs(-perron.energy - (shift - e0))
-        mirror_ok = mirror_defect <= MIRROR_RTOL * (1.0 + abs(shift))
-
-        note = ""
-        if not certificate.is_primitive:
-            note = "primitivity failed"
-        elif not simple_positive:
-            note = "largest eigenvalue not simple/positive"
-        elif not mirror_ok:
-            note = f"spectral mirror defect {mirror_defect:.3e}"
-        samples.append(
-            ProofSample(
-                s=s,
-                nonnegative=True,
-                primitive=certificate.is_primitive,
-                n0=certificate.n0,
-                perron_simple_positive=simple_positive,
-                spectral_mirror=mirror_ok,
-                note=note,
-            )
+    for start in range(0, len(s_all), per_chunk):
+        # per sample, in order: a failed ProofSample, or its s and
+        # primitivity certificate, to be judged with its solves below
+        outcomes: list = []
+        solved, perron, mirror = [], [], []
+        for s in s_all[start : start + per_chunk]:
+            aux.sample(s, f)
+            try:
+                sample_pattern = _check_entrywise_nonnegative(f, s)
+            except EntryNegative as exc:
+                outcomes.append(ProofSample(s=s, nonnegative=False, note=str(exc)))
+                continue
+            if pattern is None or not np.array_equal(sample_pattern, pattern):
+                pattern, certificate = sample_pattern, primitivity(f)
+            outcomes.append((s, certificate))
+            solved.append(s)
+            # the Perron pair of F(s) is the ground pair of -F(s), which is
+            # Hermitian by construction and not validated again
+            perron.append(lapack_pairs(np.negative(f, out=negated), m))
+            mirror.append(lapack_pairs(_scaled_plus_diagonal(1.0 - s, h_i.entries, s, hp, h_s), 1))
+        if solved:
+            checks = zip(*_judge_chunk(aux, h_i, hp, radii, solved, perron, mirror))
+        samples.extend(
+            outcome if isinstance(outcome, ProofSample) else _judged_sample(*outcome, *next(checks))
+            for outcome in outcomes
         )
     return ProofChainReport(c1=aux.c1, c2=aux.c2, samples=tuple(samples))
+
+
+def _judged_sample(
+    s: float,
+    certificate: PrimitivityCertificate,
+    simple_positive: bool,
+    mirror_defect: float,
+    mirror_ok: bool,
+) -> ProofSample:
+    """The sample of a nonnegative F(s), with its first failed check as its note."""
+    note = ""
+    if not certificate.is_primitive:
+        note = "primitivity failed"
+    elif not simple_positive:
+        note = "largest eigenvalue not simple/positive"
+    elif not mirror_ok:
+        note = f"spectral mirror defect {mirror_defect:.3e}"
+    return ProofSample(
+        s=s,
+        nonnegative=True,
+        primitive=certificate.is_primitive,
+        n0=certificate.n0,
+        perron_simple_positive=simple_positive,
+        spectral_mirror=mirror_ok,
+        note=note,
+    )
+
+
+def _judge_chunk(aux: AuxiliaryF, h_i: HermitianMatrix, hp, radii, s, perron, mirror):
+    """Judge a chunk of samples from their solves, in one stacked pass.
+
+    ``perron`` holds each sample's unchecked pairs of ``-F(s)``, ``mirror``
+    those of ``H(s)``, one level.  The Perron pairs are phase-fixed, both
+    are checked like every pair (:func:`~gapcert.spectral.low_spectrum`),
+    with residuals formed from ``a1 @ V`` and ``h_i @ V``, so no operator
+    is stacked, and the uniqueness of each Perron value is decided at the
+    Gershgorin width of ``-F(s)``, whose row radii are ``(1-s)`` times
+    ``a1``'s ``radii``.  Returns, per sample, whether the Perron pair is
+    simple and positive, the mirror defect and whether it is within
+    ``MIRROR_RTOL * (1 + |shift|)``.
+    """
+    s = np.array(s)
+    a, b = 1.0 - s, s
+    values = np.array([w for w, _ in perron])
+    vecs = np.stack([v for _, v in perron])
+    vecs *= _phase_factors(vecs)[:, np.newaxis, :]
+    # the residual of -F(s) for a value e is that of F(s) for -e
+    action = a[:, None, None] * (aux.a1 @ vecs) + b[:, None, None] * (aux.a2[:, None] * vecs)
+    _validate_pairs(action, -values, vecs, s)
+    centres = a[:, None] * aux.a1.diagonal().real + b[:, None] * aux.a2
+    _, unique = _ground_gaps(values, _gershgorin_widths(-centres, a[:, None] * radii))
+    ground = vecs[:, :, 0]
+    simple_positive = unique & (ground.real.min(axis=1) > 0.0)
+    if np.iscomplexobj(ground):
+        simple_positive &= np.abs(ground.imag).max(axis=1) <= 1e-9
+
+    e0 = np.array([w[0] for w, _ in mirror])
+    vecs = np.stack([v for _, v in mirror])
+    action = a[:, None, None] * (h_i.entries @ vecs) + b[:, None, None] * (hp[:, None] * vecs)
+    _validate_pairs(action, e0[:, None], vecs, s)
+    shift = aux.shift(s)
+    defect = np.abs(-values[:, 0] - (shift - e0))
+    mirror_ok = defect <= MIRROR_RTOL * (1.0 + np.abs(shift))
+    return simple_positive.tolist(), defect.tolist(), mirror_ok.tolist()
 
 
 def verify_proof_chain(

@@ -10,13 +10,15 @@ One solver sits behind these conventions: every eigenpair comes from
 :func:`lapack_pairs`, the one call of LAPACK's MRRR drivers ``dsyevr``
 (real operators, as :class:`~gapcert.paulialg.HermitianMatrix` decides)
 or ``zheevr``, asked for the ``m`` lowest pairs only.  No pair is used
-before it is phase-fixed and checked by residual and orthonormality.  The
-two helpers that do so take a leading stack axis of operators:
-:func:`low_spectrum` applies them to one operator (a stack of one), and
-the sweep to a chunk of grid points or to one refinement point.
+before it is checked by residual and orthonormality, and no eigenvector
+before it is phase-fixed.  The helpers that do so take a leading stack
+axis of operators: :func:`low_spectrum` applies them to one operator (a
+stack of one), the sweep to a chunk of grid points or to the points of a
+refinement step, and the proof chain to a chunk of samples.
 :func:`ground_state` makes exactly one solve: its degeneracy verdict
 scales with the Gershgorin width of ``h``, which contains the spectral
-width and costs one pass over the entries.
+width and costs one pass over the entries.  One stacked helper,
+:func:`_ground_gaps`, makes that verdict for it and for the chain.
 """
 
 from __future__ import annotations
@@ -34,6 +36,10 @@ from .paulialg import HermitianMatrix
 RESIDUAL_RTOL = 1e-9
 # Two eigenvalues within 1e-8 * (1 + Gershgorin width) count as degenerate.
 DEGENERACY_RTOL = 1e-8
+# A stacked pass (the sweep's grid, the proof chain's samples) takes its
+# points in chunks whose stacked (points, d, m) eigenvectors take at most
+# this many bytes, or one point if one alone takes more.
+CHUNK_BYTES = 1 << 16
 
 
 class EigensolverError(RuntimeError):
@@ -92,15 +98,17 @@ class GroundState:
 def _phase_factors(vectors: np.ndarray) -> np.ndarray:
     """Unit factors, shape ``(points, m)``, that bring each column of a
     stack ``(points, d, m)`` to the :func:`fix_phase` convention (1 for a
-    zero column); real for real columns."""
+    zero column); for real columns, the sign of the pivot as ±1.0."""
     points, _, m = vectors.shape
     magnitudes = np.abs(vectors)
-    top = magnitudes.max(axis=1, initial=0.0)
-    pivots = (magnitudes >= (1.0 - 1e-9) * top[:, np.newaxis, :]).argmax(axis=1)
-    index = (np.arange(points)[:, np.newaxis], pivots, np.arange(m))
-    sizes = magnitudes[index]
+    top = magnitudes.max(axis=1, keepdims=True)
+    pivots = (magnitudes >= (1.0 - 1e-9) * top).argmax(axis=1)
+    pivot = vectors[np.arange(points)[:, np.newaxis], pivots, np.arange(m)]
+    if not np.iscomplexobj(pivot):
+        return np.where(pivot < 0.0, -1.0, 1.0)
+    sizes = np.abs(pivot)
     nonzero = sizes > 0.0
-    return np.where(nonzero, vectors[index].conj() / np.where(nonzero, sizes, 1.0), 1.0)
+    return np.where(nonzero, pivot.conj() / np.where(nonzero, sizes, 1.0), 1.0)
 
 
 def fix_phase(vector: np.ndarray) -> np.ndarray:
@@ -127,22 +135,26 @@ def _validate_pairs(
     and ``values`` is ``(points, m)``.  ``s`` labels the stacked operators
     by their interpolation parameter in the message of a failed check.
     """
+    points, _, m = vectors.shape
     worst = np.abs(action - vectors * values[:, np.newaxis, :]).max(axis=1)
     bound = RESIDUAL_RTOL * (1.0 + np.abs(values))
+    gram = (vectors.conj() if np.iscomplexobj(vectors) else vectors).swapaxes(1, 2) @ vectors
+    gram.reshape(points, m * m)[:, :: m + 1] -= 1.0  # minus the identity
+    gram_defect = np.abs(gram).max(axis=(1, 2))
+    if (worst <= bound).all() and (gram_defect <= RESIDUAL_RTOL).all():
+        return
+    # the first failure, residual before orthonormality, names its point
     if not (worst <= bound).all():
-        point, m = np.argwhere(~(worst <= bound))[0]
+        point, level = np.argwhere(~(worst <= bound))[0]
         raise EigensolverError(
-            f"eigenpair {m} residual {worst[point, m]:.3e} exceeds "
-            f"{bound[point, m]:.3e}{_where(s, point)}"
+            f"eigenpair {level} residual {worst[point, level]:.3e} exceeds "
+            f"{bound[point, level]:.3e}{_where(s, point)}"
         )
-    gram = vectors.conj().swapaxes(1, 2) @ vectors
-    gram_defect = np.abs(gram - np.eye(vectors.shape[2])).max(axis=(1, 2))
-    if not (gram_defect <= RESIDUAL_RTOL).all():
-        point = int(np.argmin(gram_defect <= RESIDUAL_RTOL))
-        raise EigensolverError(
-            f"eigenvectors lose orthonormality: defect {gram_defect[point]:.3e}"
-            f"{_where(s, point)}"
-        )
+    point = int(np.argmin(gram_defect <= RESIDUAL_RTOL))
+    raise EigensolverError(
+        f"eigenvectors lose orthonormality: defect {gram_defect[point]:.3e}"
+        f"{_where(s, point)}"
+    )
 
 
 def _where(s: np.ndarray | None, point: int) -> str:
@@ -180,14 +192,39 @@ def top_eigenvalue(h: np.ndarray) -> float:
     return -float(low_spectrum(-h, 1)[0][0])
 
 
-def _gershgorin_width(entries: np.ndarray) -> float:
-    """Width ``max(h_ii + R_i) - min(h_ii - R_i)``, ``R_i = sum_{j != i} |h_ij|``,
-    of the Gershgorin interval, which contains every eigenvalue."""
+def _row_radii(entries: np.ndarray) -> np.ndarray:
+    """The off-diagonal row sums ``R_i = sum_{j != i} |h_ij|`` of an operator."""
     radii = np.abs(entries)
     np.fill_diagonal(radii, 0.0)
-    radii = radii.sum(axis=1)
-    centres = entries.diagonal().real
-    return float((centres + radii).max() - (centres - radii).min())
+    return radii.sum(axis=1)
+
+
+def _gershgorin_widths(centres: np.ndarray, radii: np.ndarray) -> np.ndarray:
+    """Widths ``max(c_i + R_i) - min(c_i - R_i)`` of Gershgorin intervals,
+    which contain every eigenvalue, from diagonals ``c`` (real parts) and row
+    radii ``R`` along the last axis: one width per operator of a stack."""
+    return (centres + radii).max(axis=-1) - (centres - radii).min(axis=-1)
+
+
+def _gershgorin_width(entries: np.ndarray) -> float:
+    """The width of one operator's Gershgorin interval."""
+    return float(_gershgorin_widths(entries.diagonal().real, _row_radii(entries)))
+
+
+def _ground_gaps(values: np.ndarray, widths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The uniqueness decision, for a stack of operators.
+
+    ``values`` holds each operator's lowest levels, shape ``(points, m)``,
+    and ``widths`` its Gershgorin width.  Returns each operator's gap from
+    its lowest level to the next (``inf`` when ``m`` is 1) and whether it
+    exceeds ``DEGENERACY_RTOL * (1 + width)``, which makes the lowest level
+    unique.
+    """
+    if values.shape[1] > 1:
+        gaps = values[:, 1] - values[:, 0]
+    else:
+        gaps = np.full(values.shape[0], math.inf)
+    return gaps, gaps > DEGENERACY_RTOL * (1.0 + widths)
 
 
 def ground_state(h) -> GroundState:
@@ -205,13 +242,12 @@ def ground_state(h) -> GroundState:
     """
     entries = HermitianMatrix.of(h).entries
     values, vectors = low_spectrum(entries, min(2, entries.shape[0]))
-    gap = float(values[1] - values[0]) if values.size > 1 else math.inf
-    width = _gershgorin_width(entries)
+    (gap,), (unique,) = _ground_gaps(values[np.newaxis], _gershgorin_width(entries))
     return GroundState(
         energy=float(values[0]),
         vector=vectors[:, 0],
-        degeneracy_gap=gap,
-        is_unique=gap > DEGENERACY_RTOL * (1.0 + width),
+        degeneracy_gap=float(gap),
+        is_unique=bool(unique),
     )
 
 

@@ -15,8 +15,9 @@ Grid and refinement points share one solve: one driver call per point,
 then one vectorised pass over the points that phase-fixes and checks every
 pair (the helpers behind :func:`~gapcert.spectral.low_spectrum`, on a
 stack) and differentiates.  The grid goes through it in chunks of at most
-``CHUNK_BYTES`` of stacked eigenvectors, each refinement evaluation as one
-point with two levels, so a failed check names its point by ``s`` either way.
+``CHUNK_BYTES`` of stacked eigenvectors, the refinement with two levels at
+one point, or at a step's two probes, at a time, so a failed check names
+its point by ``s`` either way.
 
 Every solve also yields, for almost nothing, one block of Hellmann--Feynman
 matrix elements ``<psi_k| dH/ds |psi_j>`` (j = 0, 1) from its checked
@@ -48,6 +49,7 @@ from scipy.optimize import OptimizeResult, brentq, minimize_scalar
 from .paulialg import HermitianMatrix, _scaled_plus_diagonal, diagonal_values
 from .specfile import LINEAR, InstanceSpec, ScheduleSpec
 from .spectral import (
+    CHUNK_BYTES,
     DEGENERACY_RTOL,
     _phase_factors,
     _validate_pairs,
@@ -60,10 +62,6 @@ CROSSING_RTOL = 1e-8
 # Where the gap's slope changes sign from - to + between two solved points,
 # its root (the reported location) is found to this absolute accuracy in s.
 REFINE_XATOL = 1e-12
-# The grid's pairs are checked in chunks of points whose stacked
-# (points, d, m) eigenvector array takes at most this many bytes (or one
-# point, if one alone takes more).
-CHUNK_BYTES = 1 << 16
 
 
 class CrossingPresent(RuntimeError):
@@ -147,45 +145,54 @@ def _hellmann_feynman(av, pv, vecs, da, db) -> tuple[np.ndarray, np.ndarray]:
 _GOLDEN = 0.5 * (3.0 - 5.0**0.5)
 
 
+def _slope_at(s: float, evaluate) -> float:
+    """The gap's slope at ``s``, solved through ``evaluate``: ``brentq``'s
+    objective.  It is a module-level function and takes the sweep's state
+    as an argument, because scipy wraps the objective in a closure that
+    refers to itself: whatever the objective holds would then live on in
+    that reference cycle until the cyclic garbage collector ran."""
+    return evaluate((s,))[0][1]
+
+
 def _slope_guided(fun, args, bracket, bounds, known, xatol) -> OptimizeResult:
     """``minimize_scalar`` method of the crossing refinement.
 
-    ``bracket`` lists two or three consecutive grid points and ``fun(s)``
-    returns ``(gap, slope)``.  ``known`` maps every point solved so far,
-    each bracket point included, to that pair; it grows in place, so a
-    point shared with an earlier candidate is never solved twice and
-    ``nfev`` counts new solves only.  ``bounds`` is unused.
+    ``bracket`` lists two or three consecutive grid points and
+    ``fun(points)`` returns ``(gap, slope)`` at each of a sequence of points,
+    from one solve.  ``known`` maps every point solved so far, each bracket
+    point included, to that pair; it grows in place, so a point shared with
+    an earlier candidate is never solved twice and ``nfev`` counts new
+    points only.  ``bounds`` is unused.
 
     A grid step whose end slopes go (-, +) holds a minimum: the slope's
     root is found there to ``xatol``, starting from the known end values.
-    Any other step first gets its two golden-section probes, which is
-    where a dip hidden inside it shows, and each of the three pieces they
-    leave whose end slopes go (-, +) is refined the same way.  The result
-    is the smallest gap evaluated strictly between the bracket's grid
-    points.
+    Any other step first gets its two golden-section probes, solved
+    together, which is where a dip hidden inside it shows, and each of the
+    three pieces they leave whose end slopes go (-, +) is refined the same
+    way.  The result is the smallest gap evaluated strictly between the
+    bracket's grid points.
     """
     nfev = 0
     inside: list[float] = []
 
-    def evaluate(s: float) -> tuple[float, float]:
+    def evaluate(points: tuple[float, ...]) -> list[tuple[float, float]]:
         nonlocal nfev
-        if s not in known:
-            known[s] = fun(s, *args)
-            nfev += 1
-        if s not in bracket:
-            inside.append(s)
-        return known[s]
+        new = [s for s in points if s not in known]
+        if new:
+            known.update(zip(new, fun(new, *args)))
+            nfev += len(new)
+        inside.extend(s for s in points if s not in bracket)
+        return [known[s] for s in points]
 
     for lo, hi in zip(bracket, bracket[1:]):
         points: tuple[float, ...] = (lo, hi)
         if not known[lo][1] < 0.0 < known[hi][1]:
             probes = (lo + _GOLDEN * (hi - lo), hi - _GOLDEN * (hi - lo))
-            for s in probes:
-                evaluate(s)
+            evaluate(probes)
             points = (lo, *probes, hi)
         for left, right in zip(points, points[1:]):
             if known[left][1] < 0.0 < known[right][1]:
-                brentq(lambda s: evaluate(s)[1], left, right, xtol=xatol, disp=False)
+                brentq(_slope_at, left, right, args=(evaluate,), xtol=xatol, disp=False)
     s_best = min(inside, key=lambda s: known[s][0])
     return OptimizeResult(x=s_best, fun=known[s_best][0], nfev=nfev, success=True)
 
@@ -216,6 +223,10 @@ def sweep_pair(
     # every operator below is Hermitian by construction.
     A = h_i.entries
 
+    # every point's operator is formed in this one array, which LAPACK
+    # only reads: a fresh d x d array per point costs its page faults anew
+    operator = np.empty_like(A)
+
     def solve(points: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         # The one solve of the sweep, at grid and refinement points alike:
         # one driver call per point, then one stacked pass over the points,
@@ -223,7 +234,8 @@ def sweep_pair(
         # block, which share the products of h_i and of diag(hp) with vecs.
         a, b = schedule.coefficients(points)
         solved = [
-            lapack_pairs(_scaled_plus_diagonal(aa, A, bb, hp), m) for aa, bb in zip(a, b)
+            lapack_pairs(_scaled_plus_diagonal(aa, A, bb, hp, operator), m)
+            for aa, bb in zip(a, b)
         ]
         values = np.array([w for w, _ in solved])
         vecs = np.stack([v for _, v in solved])
@@ -244,9 +256,9 @@ def sweep_pair(
     width = float(levels.max() - levels.min())
     tolerance = CROSSING_RTOL * (1.0 + width)
 
-    def gap_and_slope(tau: float) -> tuple[float, float]:
-        (w,), (slope,), _ = solve(np.array([tau]), 2)
-        return float(w[1] - w[0]), float(slope)
+    def gaps_and_slopes(points: list[float]) -> list[tuple[float, float]]:
+        w, slope, _ = solve(np.array(points), 2)
+        return list(zip((w[:, 1] - w[:, 0]).tolist(), slope.tolist()))
 
     # Any true closing between grid points leaves a local minimum whose
     # grid value is at most (gap slope) * (grid step); only those need a
@@ -274,7 +286,7 @@ def sweep_pair(
         known.update((float(grid[j]), (float(gap1[j]), float(slopes[j]))) for j in around)
         bracket = tuple(float(grid[j]) for j in around)
         result = minimize_scalar(
-            gap_and_slope,
+            gaps_and_slopes,
             bracket=bracket,
             method=_slope_guided,
             options={"known": known, "xatol": REFINE_XATOL},

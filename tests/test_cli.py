@@ -1,12 +1,19 @@
 """End-to-end tests of the command line, run in-process through main()."""
 
+import gc
+import os
+import subprocess
+import sys
+import weakref
+
 import numpy as np
 import pytest
 import scipy.linalg
 
+import gapcert
 from gapcert import paulialg
 from gapcert.certifier import certify
-from gapcert.cli import main
+from gapcert.cli import build_parser, main
 from gapcert.perron import power_limit_projector
 from gapcert.specfile import parse_instance
 from gapcert.spectral import eigensystem
@@ -363,6 +370,71 @@ def test_h_i_built_once_per_call(run, spec_file, monkeypatch, argv):
     code, _, _ = run(argv[0], spec_file(STOQUASTIC), *argv[1:])
     assert code == 0
     assert len(builds) == 1
+
+
+def test_a_sweep_through_the_cli_leaves_no_reference_cycle(run, spec_file, monkeypatch):
+    # the refinement's root finds must not keep the instance's h_i alive
+    # in a reference cycle once the call has returned
+    built = []
+    original = paulialg.build_pauli
+
+    def recording(expression):
+        matrix = original(expression)
+        built.append(weakref.ref(matrix.entries))
+        return matrix
+
+    monkeypatch.setattr(paulialg, "build_pauli", recording)
+    path = spec_file(COUNTEREXAMPLE)
+    gc.disable()
+    try:
+        code, out, _ = run("sweep", path, "--grid", "101", "--format", "structured")
+        assert code == 0
+        assert "crossings.count = 1\n" in out
+        assert len(built) == 1 and built[0]() is None
+    finally:
+        gc.enable()
+
+
+# ---------------------------------------------------------------------------
+# one parser per process
+
+
+def test_the_parser_is_built_once_and_each_call_parses_afresh(run, spec_file):
+    assert build_parser() is build_parser()
+    path = spec_file(STOQUASTIC)
+    code, out, _ = run("sweep", path, "--levels", "2", "--format", "structured")
+    assert code == 0
+    assert out.startswith("min_gap.value = ")
+    # nothing of the previous call's options carries over
+    code, out, err = run("sweep", path)
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0] == "s,eps0,eps1,eps2,eps3,gap1"
+    assert len(lines) == 1 + 1001
+    assert err.startswith("min_gap = ")
+    code, out, err = run("sweep", path, "--grid", "x")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: argument --grid: invalid int value")
+    code, out, _ = run("certify", path)
+    assert code == 0
+    assert "verdict: certified" in out
+
+
+@pytest.mark.parametrize("module", ["gapcert", "gapcert.cli"])
+def test_python_dash_m_runs_the_console_script(run, spec_file, module):
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(gapcert.__file__)))
+    for path, expected in (
+        (spec_file(STOQUASTIC, "certified.spec"), 0),
+        (spec_file(COUNTEREXAMPLE, "crossing.spec"), 2),
+        ("/nonexistent/path.spec", 1),
+    ):
+        code, out, _ = run("certify", path)
+        done = subprocess.run(
+            [sys.executable, "-m", module, "certify", path],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert code == expected
+        assert (done.returncode, done.stdout) == (code, out)
 
 
 # ---------------------------------------------------------------------------

@@ -5,9 +5,11 @@ one-hot diagonal) has a closed-form gap, so the sweep is checked pointwise
 against sqrt(1 - 2 s (1 - s)) with no linear algebra in the oracle.
 """
 
+import gc
 import math
 import re
 import tracemalloc
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -376,6 +378,31 @@ def test_counterexample_crossing_located_to_refine_xatol():
     (crossing,) = profile.crossings
     assert abs(crossing.s_star - 0.5) <= 1e-10
     assert crossing.gap_star <= 1e-12 * (1.0 + profile.spectral_width)
+
+
+def test_a_refined_sweep_leaves_no_reference_cycle(monkeypatch):
+    # scipy's brentq wraps its objective in a closure that refers to itself;
+    # an objective that held the sweep's state would keep h_i alive in that
+    # cycle until the cyclic collector ran
+    root_finds = []
+    original = sweep_module.brentq
+
+    def counting(*args, **kwargs):
+        root_finds.append(args[1:3])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(sweep_module, "brentq", counting)
+    instance = parse_instance(COUNTEREXAMPLE_TEXT)
+    gc.disable()
+    try:
+        h_i = HermitianMatrix(instance.h_i_matrix().entries.copy())
+        entries = weakref.ref(h_i.entries)
+        profile = sweep_pair(h_i, instance.h_p, grid_points=101)
+        assert len(profile.crossings) == 1 and root_finds
+        del h_i
+        assert entries() is None
+    finally:
+        gc.enable()
 
 
 def hidden_dip_instance():
