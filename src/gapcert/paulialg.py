@@ -29,6 +29,10 @@ PATTERN_RTOL = 1e-12
 # path is dense, and a d x d matrix takes 8 * 4**n bytes when real (128 MiB
 # at n = 12) and twice that when complex.
 MAX_QUBITS = 12
+# Largest norm bound (see norm_bound) of an instance's h_i and h_p together.
+# Entries, eigenvalues and gaps are then at most about 1e100, so every square
+# and product of them that a solve or a check forms stays finite in float64.
+MAX_NORM_BOUND = 1e100
 
 
 @dataclass(frozen=True)
@@ -167,6 +171,39 @@ def _scaled_plus_diagonal(
     return out
 
 
+# Rows per block of the validation passes below: a block and its transposed
+# partner stay small, where one pass over the whole matrix would make d x d
+# temporaries.
+_VALIDATION_ROWS = 32
+
+
+def _max_abs(m: np.ndarray) -> float:
+    """``max |m|`` (NaN if an entry is NaN), with no ``d x d`` temporary."""
+    if not np.iscomplexobj(m):
+        return float(max(m.max(), -m.min()))
+    # np.max, not max: a NaN block maximum must win over every other
+    return float(np.max([
+        np.abs(m[r : r + _VALIDATION_ROWS]).max()
+        for r in range(0, m.shape[0], _VALIDATION_ROWS)
+    ]))
+
+
+def _hermiticity_defect(m: np.ndarray) -> float:
+    """``max |M - M^dag|`` of a finite square ``m``, from its upper triangle.
+
+    The entry at (i, j) and the one at (j, i) have the same magnitude, so
+    each block of rows is compared only from its diagonal on, against the
+    matching block of columns.
+    """
+    defect = 0.0
+    for r in range(0, m.shape[0], _VALIDATION_ROWS):
+        partner = m[r:, r : r + _VALIDATION_ROWS].T
+        if np.iscomplexobj(m):
+            partner = partner.conj()
+        defect = max(defect, float(np.abs(m[r : r + _VALIDATION_ROWS, r:] - partner).max()))
+    return defect
+
+
 @dataclass(frozen=True, eq=False)
 class HermitianMatrix:
     """A dense matrix validated to be Hermitian, held real when it is real.
@@ -187,10 +224,10 @@ class HermitianMatrix:
         if m.shape[0] < 1:
             raise ValueError("matrix dimension must be positive")
         m = m.astype(np.complex128 if np.iscomplexobj(m) else np.float64, copy=False)
-        scale = 1.0 + np.max(np.abs(m))
+        scale = 1.0 + _max_abs(m)
         if not np.isfinite(scale):
             raise ValueError("matrix has a non-finite entry")
-        defect = np.max(np.abs(m - (m.conj() if np.iscomplexobj(m) else m).T))
+        defect = _hermiticity_defect(m)
         if defect > HERMITICITY_RTOL * scale:
             raise ValueError(
                 f"matrix is not Hermitian: max |M - M^dag| = {defect:.3e} "
@@ -291,6 +328,22 @@ def build_projector_complement(spec: ProjectorSpec) -> HermitianMatrix:
     """Realize ``I - |psi><psi|`` for the stored unit vector."""
     psi = spec.amplitudes
     return HermitianMatrix(np.eye(psi.size, dtype=complex) - np.outer(psi, psi.conj()))
+
+
+def norm_bound(operator) -> float:
+    """An upper bound on the spectral norm of an operator description, read
+    from the description itself: the sum of ``|c_k|`` over Pauli terms, the
+    largest ``|value|`` of a diagonal, 1 for a projector complement, and
+    ``d * max |entry|`` for a matrix."""
+    if isinstance(operator, PauliExpression):
+        return sum(abs(coefficient) for coefficient, _ in operator.terms)
+    if isinstance(operator, DiagonalSpec):
+        return max(max(operator.values), -min(operator.values))
+    if isinstance(operator, ProjectorSpec):
+        return 1.0
+    if isinstance(operator, HermitianMatrix):
+        return operator.dim * _max_abs(operator.entries)
+    raise TypeError(f"unsupported operator description: {type(operator).__name__}")
 
 
 def to_matrix(operator) -> HermitianMatrix:

@@ -30,13 +30,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components, shortest_path
 
 from .certifier import PhaseGauge
 from .paulialg import (
     PATTERN_RTOL,
     HermitianMatrix,
+    _max_abs,
     _scaled_plus_diagonal,
     diagonal_values,
 )
@@ -171,6 +170,8 @@ class PrimitivityCertificate:
 def _digraph_period(graph) -> int:
     # BFS levels from node 0; the period of a strongly connected digraph
     # is the gcd of (level[u] + 1 - level[v]) over all edges u -> v.
+    from scipy.sparse.csgraph import shortest_path
+
     level = shortest_path(graph, unweighted=True, indices=0).astype(np.int64)
     rows, cols = graph.nonzero()
     return int(np.gcd.reduce(level[rows] + 1 - level[cols]))
@@ -212,6 +213,12 @@ def primitivity(matrix) -> PrimitivityCertificate:
         if pattern[0, 0]:
             return PrimitivityCertificate(n0=1, period=1)
         return PrimitivityCertificate(reducible_blocks=((0,),))
+
+    # scipy.sparse is imported where the graph is decided, not with the
+    # module: it adds about 40 ms to a cold start, and most commands never
+    # decide a graph
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import connected_components
 
     graph = csr_matrix(pattern)
     n_components, labels = connected_components(graph, directed=True, connection="strong")
@@ -427,7 +434,9 @@ def _judge_chunk(aux: AuxiliaryF, h_i: HermitianMatrix, hp, radii, s, perron, mi
     values = np.array([w for w, _ in perron])
     vecs = np.stack([v for _, v in perron])
     vecs *= _phase_factors(vecs)[:, np.newaxis, :]
-    # the residual of -F(s) for a value e is that of F(s) for -e
+    # the residual of -F(s) for a value e is that of F(s) for -e; the Perron
+    # value of a nonnegative F(s) is at least its largest entry, so it is
+    # its own scale
     action = a[:, None, None] * (aux.a1 @ vecs) + b[:, None, None] * (aux.a2[:, None] * vecs)
     _validate_pairs(action, -values, vecs, s)
     centres = a[:, None] * aux.a1.diagonal().real + b[:, None] * aux.a2
@@ -440,7 +449,8 @@ def _judge_chunk(aux: AuxiliaryF, h_i: HermitianMatrix, hp, radii, s, perron, mi
     e0 = np.array([w[0] for w, _ in mirror])
     vecs = np.stack([v for _, v in mirror])
     action = a[:, None, None] * (h_i.entries @ vecs) + b[:, None, None] * (hp[:, None] * vecs)
-    _validate_pairs(action, e0[:, None], vecs, s)
+    scales = a * _max_abs(h_i.entries) + b * float(np.max(np.abs(hp)))
+    _validate_pairs(action, e0[:, None], vecs, s, scales)
     shift = aux.shift(s)
     defect = np.abs(-values[:, 0] - (shift - e0))
     mirror_ok = defect <= MIRROR_RTOL * (1.0 + np.abs(shift))

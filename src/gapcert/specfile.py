@@ -35,6 +35,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .paulialg import (
+    MAX_NORM_BOUND,
     MAX_QUBITS,
     DiagonalSpec,
     HermitianMatrix,
@@ -42,6 +43,7 @@ from .paulialg import (
     PauliString,
     ProjectorSpec,
     build_diagonal,
+    norm_bound,
     to_matrix,
 )
 
@@ -168,6 +170,12 @@ class InstanceSpec:
             )
         if not isinstance(self.schedule, ScheduleSpec):
             raise TypeError("schedule must be a ScheduleSpec")
+        bound = norm_bound(h_i) + norm_bound(self.h_p)
+        if not bound <= MAX_NORM_BOUND:
+            raise ValueError(
+                f"h_i and h_p have norm bound {bound:.3e}, above {MAX_NORM_BOUND:.0e}: "
+                "products of their entries would overflow float64; rescale the instance"
+            )
 
     def h_i_matrix(self) -> HermitianMatrix:
         """``h_i`` as a dense matrix, built on the first call and kept: the
@@ -463,12 +471,15 @@ def parse_instance(source) -> InstanceSpec:
     else:
         schedule = LINEAR
 
-    return InstanceSpec(
-        n_qubits=n_qubits,
-        h_i=h_i,
-        h_p=DiagonalSpec.from_values(n_qubits, hp_values),
-        schedule=schedule,
-    )
+    try:
+        return InstanceSpec(
+            n_qubits=n_qubits,
+            h_i=h_i,
+            h_p=DiagonalSpec.from_values(n_qubits, hp_values),
+            schedule=schedule,
+        )
+    except ValueError as exc:
+        raise ParseError(str(exc)) from None
 
 
 def _canonical_terms(expression: PauliExpression) -> list[tuple[float, str]]:

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import get_lapack_funcs
 
-from .paulialg import HermitianMatrix
+from .paulialg import HermitianMatrix, _max_abs
 
 # Residual / orthonormality validation threshold (relative).
 RESIDUAL_RTOL = 1e-9
@@ -124,20 +124,29 @@ def fix_phase(vector: np.ndarray) -> np.ndarray:
 
 
 def _validate_pairs(
-    action: np.ndarray, values: np.ndarray, vectors: np.ndarray, s: np.ndarray | None = None
+    action: np.ndarray,
+    values: np.ndarray,
+    vectors: np.ndarray,
+    s: np.ndarray | None = None,
+    scales=0.0,
 ) -> None:
     """Raise :class:`EigensolverError` unless every column of ``vectors``
-    satisfies ``|H v_m - e_m v_m| <= RESIDUAL_RTOL * (1 + |e_m|)`` and the
-    columns are orthonormal to ``RESIDUAL_RTOL``.  NaN fails both tests.
+    satisfies ``|H v_m - e_m v_m| <= RESIDUAL_RTOL * (1 + max(|e_m|, scale))``
+    and the columns are orthonormal to ``RESIDUAL_RTOL``.  NaN fails both
+    tests.
 
     Every argument carries a leading stack axis of operators: ``action``
     holds each ``H @ vectors``, shape ``(points, d, m)``, like ``vectors``,
-    and ``values`` is ``(points, m)``.  ``s`` labels the stacked operators
-    by their interpolation parameter in the message of a failed check.
+    and ``values`` is ``(points, m)``.  ``scales`` holds each operator's
+    ``scale``, a bound on the size of its entries (one value for all, or one
+    per operator): a solver's residual grows with the operator's size, not
+    with ``|e_m|``, which may lie near zero.  ``s`` labels the stacked
+    operators by their interpolation parameter in the message of a failed
+    check.
     """
     points, _, m = vectors.shape
     worst = np.abs(action - vectors * values[:, np.newaxis, :]).max(axis=1)
-    bound = RESIDUAL_RTOL * (1.0 + np.abs(values))
+    bound = RESIDUAL_RTOL * (1.0 + np.maximum(np.abs(values), np.reshape(scales, (-1, 1))))
     gram = (vectors.conj() if np.iscomplexobj(vectors) else vectors).swapaxes(1, 2) @ vectors
     gram.reshape(points, m * m)[:, :: m + 1] -= 1.0  # minus the identity
     gram_defect = np.abs(gram).max(axis=(1, 2))
@@ -179,8 +188,8 @@ def eigensystem(h) -> EigenSystem:
     ------
     EigensolverError
         If the decomposition violates the residual bound
-        ``|H v_m - e_m v_m| <= RESIDUAL_RTOL * (1 + |e_m|)`` or the
-        eigenvectors fail orthonormality at the same relative scale.
+        ``|H v_m - e_m v_m| <= RESIDUAL_RTOL * (1 + max(|e_m|, max |h_ij|))``
+        or the eigenvectors fail orthonormality at the same relative scale.
     """
     entries = HermitianMatrix.of(h).entries
     values, vectors = low_spectrum(entries, entries.shape[0])
@@ -320,7 +329,9 @@ def low_spectrum(h, m: int) -> tuple[np.ndarray, np.ndarray]:
     # the stack helpers, on a stack of one operator
     stacked = vectors[np.newaxis]
     vectors *= _phase_factors(stacked)[0]
-    _validate_pairs((entries @ vectors)[np.newaxis], values[np.newaxis], stacked)
+    _validate_pairs(
+        (entries @ vectors)[np.newaxis], values[np.newaxis], stacked, scales=_max_abs(entries)
+    )
     values.flags.writeable = False
     vectors.flags.writeable = False
     return values, vectors

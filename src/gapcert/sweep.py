@@ -41,12 +41,11 @@ which does not depend on the basis the eigensolver picked in it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
-from scipy.optimize import OptimizeResult, brentq, minimize_scalar
 
-from .paulialg import HermitianMatrix, _scaled_plus_diagonal, diagonal_values
+from .paulialg import HermitianMatrix, _max_abs, _scaled_plus_diagonal, diagonal_values
 from .specfile import LINEAR, InstanceSpec, ScheduleSpec
 from .spectral import (
     CHUNK_BYTES,
@@ -62,6 +61,31 @@ CROSSING_RTOL = 1e-8
 # Where the gap's slope changes sign from - to + between two solved points,
 # its root (the reported location) is found to this absolute accuracy in s.
 REFINE_XATOL = 1e-12
+
+# Only the crossing refinement uses scipy.optimize, and importing it takes
+# about a quarter of a second, so it is imported on first use, not with the
+# module.  Its three names stay attributes of this module, looked up here at
+# call time: a caller may read or rebind ``sweep.minimize_scalar`` (a tracer
+# that wraps it) before any sweep has run, and a rebound name is kept.
+_OPTIMIZE_NAMES = ("OptimizeResult", "brentq", "minimize_scalar")
+if TYPE_CHECKING:
+    from scipy.optimize import OptimizeResult, brentq, minimize_scalar
+
+
+def _bind_optimize() -> None:
+    """Bind scipy.optimize's names here, leaving any already bound as is."""
+    import scipy.optimize
+
+    for name in _OPTIMIZE_NAMES:
+        globals().setdefault(name, getattr(scipy.optimize, name))
+
+
+def __getattr__(name: str):
+    # PEP 562: reached only for a name the module does not hold yet
+    if name in _OPTIMIZE_NAMES:
+        _bind_optimize()
+        return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class CrossingPresent(RuntimeError):
@@ -226,6 +250,8 @@ def sweep_pair(
     # every point's operator is formed in this one array, which LAPACK
     # only reads: a fresh d x d array per point costs its page faults anew
     operator = np.empty_like(A)
+    # the size of each operator's entries is at most a * |A| + b * |hp|
+    max_a, max_hp = _max_abs(A), float(np.max(np.abs(hp)))
 
     def solve(points: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         # The one solve of the sweep, at grid and refinement points alike:
@@ -242,7 +268,10 @@ def sweep_pair(
         del solved
         vecs *= _phase_factors(vecs)[:, np.newaxis, :]
         av, pv = A @ vecs, hp[:, np.newaxis] * vecs
-        _validate_pairs(a[:, None, None] * av + b[:, None, None] * pv, values, vecs, points)
+        _validate_pairs(
+            a[:, None, None] * av + b[:, None, None] * pv, values, vecs, points,
+            scales=a * max_a + b * max_hp,
+        )
         return values, *_hellmann_feynman(av, pv, vecs, *schedule.slopes(points))
 
     per_chunk = max(1, CHUNK_BYTES // (d * m_levels * A.itemsize))
@@ -269,7 +298,7 @@ def sweep_pair(
     # schedule has a(0) = 1 and b(0) = 0 and grid[0] is 0, so the first grid
     # operator is h_i itself and -levels[0, 0] is the top eigenvalue of -h_i.
     norm_a = max(top_eigenvalue(A), -float(levels[0, 0]))
-    gap_slope = 2.0 * (slope_a * norm_a + slope_b * float(np.max(np.abs(hp))))
+    gap_slope = 2.0 * (slope_a * norm_a + slope_b * max_hp)
     step = grid[1] - grid[0]
     candidate_cut = max(tolerance, 2.0 * gap_slope * step)
 
@@ -281,6 +310,7 @@ def sweep_pair(
     # each candidate's bracket and refined minimum, closing or not
     refined: list[CrossingInterval] = []
     known: dict[float, tuple[float, float]] = {}
+    _bind_optimize()
     for k in sorted(candidates):
         around = range(max(k - 1, 0), min(k + 2, grid_points))
         known.update((float(grid[j]), (float(gap1[j]), float(slopes[j]))) for j in around)

@@ -2,8 +2,10 @@
 
 import gc
 import os
+import re
 import subprocess
 import sys
+import warnings
 import weakref
 
 import numpy as np
@@ -41,6 +43,27 @@ terms = -0.5 XX, -0.5 YY
 [Hp]
 diagonal = 0.0, 1.0, 2.0, 3.0
 """
+
+# every product of these entries overflows float64
+OVERFLOW = """\
+qubits = 1
+[Hi]
+terms = -1.7e308 X, 1.7e308 Z
+[Hp]
+diagonal = 1.7e308, -1.7e308
+"""
+
+
+def scaled(text, factor):
+    """``text`` with every Pauli coefficient and diagonal value times ``factor``."""
+
+    def scale(line):
+        key, sep, payload = line.partition(" = ")
+        if key not in ("terms", "diagonal"):
+            return line
+        return key + sep + re.sub(r"-?\d+\.\d+", lambda m: repr(float(m[0]) * factor), payload)
+
+    return "\n".join(scale(line) for line in text.split("\n"))
 
 
 @pytest.fixture
@@ -438,6 +461,81 @@ def test_python_dash_m_runs_the_console_script(run, spec_file, module):
 
 
 # ---------------------------------------------------------------------------
+# cold start: a fresh interpreter imports only what the command runs
+
+# two scipy packages that only some commands use: the sweep's refinement
+# (scipy.optimize) and the decision of a graph (scipy.sparse)
+DEFERRED = ("scipy.optimize", "scipy.sparse")
+
+
+def run_fresh(script, *args):
+    """Run ``script`` in a fresh interpreter; its stdout, after it exits 0."""
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(gapcert.__file__)))
+    done = subprocess.run(
+        [sys.executable, "-c", script, *args],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+@pytest.mark.parametrize(
+    "statement",
+    [
+        "import gapcert",
+        "import gapcert.cli",
+        "import gapcert.cli; gapcert.cli.main(['certify', sys.argv[1]])",
+    ],
+)
+def test_a_cold_start_leaves_the_deferred_packages_unloaded(spec_file, statement):
+    script = f"import sys; {statement}; print(sorted(set({DEFERRED!r}) & set(sys.modules)))"
+    out = run_fresh(script, spec_file(STOQUASTIC))
+    assert out.endswith("[]\n")
+
+
+def test_a_cold_sweep_imports_scipy_optimize_for_its_refinement(spec_file):
+    script = (
+        "import sys, gapcert.cli\n"
+        "assert gapcert.cli.main(['sweep', sys.argv[1], '--format', 'structured']) == 0\n"
+        "print('scipy.optimize' in sys.modules)\n"
+    )
+    out = run_fresh(script, spec_file(COUNTEREXAMPLE))
+    assert "crossings.count = 1\n" in out
+    assert out.endswith("True\n")
+
+
+def test_the_refinement_names_resolve_before_any_sweep():
+    script = (
+        "import scipy.optimize, gapcert.sweep as sweep\n"
+        "for name in ('OptimizeResult', 'brentq', 'minimize_scalar'):\n"
+        "    assert getattr(sweep, name) is getattr(scipy.optimize, name), name\n"
+        "print('ok')\n"
+    )
+    assert run_fresh(script) == "ok\n"
+
+
+def test_the_refinement_calls_the_minimizer_a_tracer_binds_before_any_sweep(spec_file):
+    # bound the way a span tracer binds it: look the original up on the
+    # module, then rebind every module attribute that holds it
+    script = (
+        "import sys, gapcert.cli, gapcert.sweep as sweep\n"
+        "original, calls = sweep.minimize_scalar, []\n"
+        "def counting(*args, **kwargs):\n"
+        "    calls.append(1)\n"
+        "    return original(*args, **kwargs)\n"
+        "for name, value in list(vars(sweep).items()):\n"
+        "    if value is original:\n"
+        "        setattr(sweep, name, counting)\n"
+        "assert gapcert.cli.main(['sweep', sys.argv[1], '--format', 'structured']) == 0\n"
+        "assert sweep.minimize_scalar is counting\n"
+        "print(len(calls))\n"
+    )
+    out = run_fresh(script, spec_file(COUNTEREXAMPLE))
+    assert "crossings.count = 1\n" in out
+    assert int(out.splitlines()[-1]) >= 1
+
+
+# ---------------------------------------------------------------------------
 # one eigensolver
 
 
@@ -530,6 +628,36 @@ def test_malformed_instance_reports_position(run, spec_file):
     code, _, err = run("certify", path)
     assert code == 1
     assert "line 3" in err
+
+
+COMMANDS = ("certify", "sweep", "estimate", "verify-proof", "blocks")
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_an_instance_that_would_overflow_is_refused_when_read(run, spec_file, solve_log, command):
+    # every product of its entries overflows: one error line and no solve,
+    # no warning and no traceback
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(command, spec_file(OVERFLOW))
+    assert (code, out, solve_log) == (1, "", [])
+    assert err.startswith("error: h_i and h_p have norm bound inf, above 1e+100: ")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "text", [STOQUASTIC, HOPPING, COUNTEREXAMPLE], ids=["stoquastic", "hopping", "counterexample"]
+)
+@pytest.mark.parametrize("command", COMMANDS)
+def test_an_instance_scaled_to_1e10_keeps_its_exit_code(run, spec_file, command, text):
+    # every residual and tolerance scales with the operator, so a scaled
+    # instance solves and is judged as the original is
+    code, _, err = run(command, spec_file(text))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        scaled_code, _, scaled_err = run(command, spec_file(scaled(text, 1e10), "scaled.spec"))
+    assert scaled_code == code
+    assert scaled_err.startswith("error:") == err.startswith("error:")
 
 
 def test_unknown_command_exits_one(run):

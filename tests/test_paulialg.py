@@ -8,6 +8,7 @@ the library builds them with index arithmetic on computational-basis columns.
 import numpy as np
 import pytest
 
+from gapcert import paulialg
 from gapcert.cases import CaseParams, build_case
 from gapcert.paulialg import (
     DiagonalSpec,
@@ -109,6 +110,44 @@ def test_hermitian_matrix_rejects_non_finite_entries(bad):
         HermitianMatrix(np.array([[bad]]))
     entries = np.eye(3, dtype=type(bad))
     entries[2, 2] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        HermitianMatrix(entries)
+
+
+@pytest.mark.parametrize(
+    "dtype, where, skew",
+    [
+        (np.float64, (69, 3), 1e-3),
+        (np.float64, (3, 69), 1e-3),
+        (np.float64, (40, 66), 1e-3),
+        (np.complex128, (66, 40), 1e-3),
+        (np.complex128, (3, 69), 1e-3j),
+        (np.complex128, (68, 68), 1e-3j),  # an imaginary diagonal entry
+    ],
+)
+def test_hermiticity_defect_is_found_anywhere_in_a_blocked_pass(dtype, where, skew):
+    # 70 rows are two whole validation blocks and a partial one
+    d = 70
+    assert d % paulialg._VALIDATION_ROWS
+    rng = np.random.default_rng(7)
+    a = rng.normal(size=(d, d)).astype(dtype)
+    if dtype is np.complex128:
+        a += 1j * rng.normal(size=(d, d))
+    hermitian = a + a.conj().T
+    assert HermitianMatrix(hermitian.copy()).dim == d
+    assert paulialg._max_abs(hermitian) == np.max(np.abs(hermitian))
+    skewed = hermitian.copy()
+    skewed[where] += skew
+    defect = np.max(np.abs(skewed - skewed.conj().T))
+    assert paulialg._hermiticity_defect(skewed) == defect
+    with pytest.raises(ValueError) as caught:
+        HermitianMatrix(skewed)
+    assert f"max |M - M^dag| = {defect:.3e} " in str(caught.value)
+
+
+def test_a_non_finite_entry_in_a_later_block_is_found():
+    entries = np.eye(70, dtype=complex)
+    entries[65, 65] = np.nan
     with pytest.raises(ValueError, match="non-finite"):
         HermitianMatrix(entries)
 

@@ -5,7 +5,14 @@ import io
 import numpy as np
 import pytest
 
-from gapcert.paulialg import MAX_QUBITS, DiagonalSpec, PauliExpression, ProjectorSpec
+from gapcert.paulialg import (
+    MAX_NORM_BOUND,
+    MAX_QUBITS,
+    DiagonalSpec,
+    HermitianMatrix,
+    PauliExpression,
+    ProjectorSpec,
+)
 from gapcert.specfile import (
     LINEAR,
     InstanceSpec,
@@ -203,6 +210,32 @@ def test_schedule_spec_direct_validation():
     good = ScheduleSpec("tabulated", samples=((0.0, 1.0, 0.0), (1.0, 0.0, 1.0)))
     a, b = good.coefficients(0.5)
     assert float(a) == 0.5 and float(b) == 0.5
+
+
+# ---------------------------------------------------------------------------
+# the norm-bound limit
+
+
+@pytest.mark.parametrize(
+    "h_i, hp_top",
+    [
+        # sum |c_k| over the terms, duplicates included, plus max |hp|
+        (PauliExpression.from_terms(1, [(-4e99, "X"), (4e99, "X"), (-1e99, "Z")]), 1e99),
+        (DiagonalSpec.from_values(1, [-9e99, 1.0]), 1e99),  # max |value|
+        (ProjectorSpec.uniform(1), MAX_NORM_BOUND - 1.0),  # the projector counts 1
+        (HermitianMatrix(np.array([[0.0, 4.5e99], [4.5e99, 0.0]])), 1e99),  # d * max |h_ij|
+    ],
+)
+def test_an_instance_at_the_norm_bound_limit_is_accepted_and_one_above_refused(h_i, hp_top):
+    assert InstanceSpec(1, h_i, DiagonalSpec.from_values(1, [0.0, -hp_top])).n_qubits == 1
+    with pytest.raises(ValueError, match="norm bound .*, above 1e\\+100"):
+        InstanceSpec(1, h_i, DiagonalSpec.from_values(1, [0.0, -2.0 * hp_top]))
+
+
+def test_the_norm_bound_limit_is_a_parse_error():
+    text = "qubits = 1\n[Hi]\nterms = 1e100 X\n[Hp]\ndiagonal = 0, 1e100\n"
+    with pytest.raises(ParseError, match="^h_i and h_p have norm bound 2.000e\\+100, above"):
+        parse_instance(text)
 
 
 # ---------------------------------------------------------------------------

@@ -300,6 +300,28 @@ def test_seam_rejects_a_perturbed_driver_result(seam_operator, monkeypatch):
             low_spectrum(seam_operator, 3)
 
 
+@pytest.mark.parametrize("size", [1.0, 1e10])
+def test_the_residual_bound_scales_with_the_operator(size, monkeypatch):
+    # a ground level of exactly zero under entries of any size: the residual
+    # LAPACK leaves grows with the entries, and so does the bound
+    h = size * build_pauli(
+        PauliExpression.from_terms(2, [(1.0, "II"), (-0.6, "XI"), (-0.4, "IX")])
+    ).entries
+    values, _ = low_spectrum(h, 2)
+    assert abs(values[0]) <= 1e-12 * size
+    # a shift of the value by 1e-8 of the entries' size still fails
+    driver = spectral._SYEVR
+
+    def perturbed_value(*args, **kwargs):
+        w, z, found, isuppz, info = driver(*args, **kwargs)
+        w[0] += 1e-8 * size
+        return w, z, found, isuppz, info
+
+    monkeypatch.setattr(spectral, "_SYEVR", perturbed_value)
+    with pytest.raises(EigensolverError, match="residual"):
+        low_spectrum(h, 2)
+
+
 def test_accepts_wrapper_and_array_alike():
     rng = np.random.default_rng(8)
     h = random_hermitian(rng, 6)
