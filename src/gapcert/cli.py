@@ -16,6 +16,7 @@ from .certifier import certify, certify_pair, render_structured, render_text
 from .paulialg import MAX_QUBITS, DiagonalSpec, diagonal_values
 from .perron import default_chain_grid, render_chain_text, verify_proof_chain
 from .specfile import InstanceSpec, parse_instance, serialize_instance
+from .spectral import EigensolverError
 from .sweep import (
     CrossingPresent,
     check_target_epsilon,
@@ -290,11 +291,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     # ParseError and NotWeightSymmetric are ValueErrors; CrossingPresent is
-    # estimate's refusal of a profile with a closing gap.
+    # estimate's refusal of a profile with a closing gap, EigensolverError a
+    # failed LAPACK call or pair check.
     try:
         args = build_parser().parse_args(argv)
         return args.func(args)
-    except (_UsageError, ValueError, TypeError, OSError, CrossingPresent) as exc:
+    except (_UsageError, ValueError, TypeError, OSError, CrossingPresent, EigensolverError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -18,10 +18,12 @@ as a vector; under the sign gauge of a real ``h_i`` the first is real, and
 so is every F(s).  ``verify_proof_chain`` re-derives each link
 numerically on a sample grid; it decides primitivity once per distinct
 nonnegativity pattern and checks at every sample that the pattern is the
-one decided.  Each sample's two solves are checked and judged with those
-of its chunk of samples, in one stacked pass, as the sweep does with its
-grid.  The result is a numerical corroboration of the argument at the
-sampled points, not a proof.
+one decided.  Each sample makes two solves, points of a pencil
+``a A + diag(b v)`` that :func:`~gapcert.spectral.pencil_pairs` solves a
+chunk of samples at a time: the Perron pair of F(s), as the ground pair
+of -F(s) (``(a1, a2)`` at ``(-(1-s), -s)``), and the ground level of H(s)
+(``(h_i, h_p)`` at ``(1-s, s)``).  The result is a numerical
+corroboration of the argument at the sampled points, not a proof.
 """
 
 from __future__ import annotations
@@ -44,11 +46,9 @@ from .spectral import (
     CHUNK_BYTES,
     _gershgorin_widths,
     _ground_gaps,
-    _phase_factors,
     _row_radii,
-    _validate_pairs,
     ground_state,
-    lapack_pairs,
+    pencil_pairs,
     top_eigenvalue,
 )
 
@@ -353,19 +353,20 @@ def verify_proof_chain_pair(
     aux = auxiliary_f(h_i, hp, gauge)
     m = min(2, aux.dim)
     radii = _row_radii(aux.a1)
+    # H(s)'s entries are at most (1-s) max|h_i| + s max|h_p|
+    maxima = (_max_abs(h_i.entries), float(np.max(np.abs(hp))))
     per_chunk = max(1, CHUNK_BYTES // (aux.dim * (m + 1) * aux.a1.itemsize))
     s_all = s_samples.tolist()
-    # each sample's F(s), -F(s) and H(s) are formed in these arrays, which
-    # LAPACK only reads: a fresh d x d array per sample costs its page
-    # faults anew.  They keep the dtypes of a1 and h_i.
-    f, negated, h_s = np.empty_like(aux.a1), np.empty_like(aux.a1), np.empty_like(h_i.entries)
+    # each sample's F(s), then -F(s), is formed in f and its H(s) in h_s:
+    # the work arrays of the chunk's solves, with the dtypes of a1 and h_i
+    f, h_s = np.empty_like(aux.a1), np.empty_like(h_i.entries)
     samples = []
     pattern = certificate = None
     for start in range(0, len(s_all), per_chunk):
         # per sample, in order: a failed ProofSample, or its s and
         # primitivity certificate, to be judged with its solves below
         outcomes: list = []
-        solved, perron, mirror = [], [], []
+        solved = []
         for s in s_all[start : start + per_chunk]:
             aux.sample(s, f)
             try:
@@ -377,12 +378,8 @@ def verify_proof_chain_pair(
                 pattern, certificate = sample_pattern, primitivity(f)
             outcomes.append((s, certificate))
             solved.append(s)
-            # the Perron pair of F(s) is the ground pair of -F(s), which is
-            # Hermitian by construction and not validated again
-            perron.append(lapack_pairs(np.negative(f, out=negated), m))
-            mirror.append(lapack_pairs(_scaled_plus_diagonal(1.0 - s, h_i.entries, s, hp, h_s), 1))
         if solved:
-            checks = zip(*_judge_chunk(aux, h_i, hp, radii, solved, perron, mirror))
+            checks = zip(*_judge_chunk(aux, h_i, hp, maxima, radii, np.array(solved), f, h_s))
         samples.extend(
             outcome if isinstance(outcome, ProofSample) else _judged_sample(*outcome, *next(checks))
             for outcome in outcomes
@@ -416,29 +413,21 @@ def _judged_sample(
     )
 
 
-def _judge_chunk(aux: AuxiliaryF, h_i: HermitianMatrix, hp, radii, s, perron, mirror):
-    """Judge a chunk of samples from their solves, in one stacked pass.
+def _judge_chunk(aux: AuxiliaryF, h_i: HermitianMatrix, hp, maxima, radii, s, f, h_s):
+    """Solve and judge a chunk of samples ``s``, one stacked pass per solve.
 
-    ``perron`` holds each sample's unchecked pairs of ``-F(s)``, ``mirror``
-    those of ``H(s)``, one level.  The Perron pairs are phase-fixed, both
-    are checked like every pair (:func:`~gapcert.spectral.low_spectrum`),
-    with residuals formed from ``a1 @ V`` and ``h_i @ V``, so no operator
-    is stacked, and the uniqueness of each Perron value is decided at the
-    Gershgorin width of ``-F(s)``, whose row radii are ``(1-s)`` times
-    ``a1``'s ``radii``.  Returns, per sample, whether the Perron pair is
-    simple and positive, the mirror defect and whether it is within
-    ``MIRROR_RTOL * (1 + |shift|)``.
+    The Perron pairs are the two lowest of ``-F(s)``, formed in ``f``, and
+    the mirror levels the lowest of ``H(s)``, formed in ``h_s``, whose
+    entries ``maxima`` (``max |h_i|``, ``max |hp|``) bound.  The
+    uniqueness of each Perron value is decided at the Gershgorin width of
+    ``-F(s)``, whose row radii are ``(1-s)`` times ``a1``'s ``radii``.
+    Returns, per sample, whether the Perron pair is simple and positive, the
+    mirror defect and whether it is within ``MIRROR_RTOL * (1 + |shift|)``.
     """
-    s = np.array(s)
     a, b = 1.0 - s, s
-    values = np.array([w for w, _ in perron])
-    vecs = np.stack([v for _, v in perron])
-    vecs *= _phase_factors(vecs)[:, np.newaxis, :]
-    # the residual of -F(s) for a value e is that of F(s) for -e; the Perron
-    # value of a nonnegative F(s) is at least its largest entry, so it is
-    # its own scale
-    action = a[:, None, None] * (aux.a1 @ vecs) + b[:, None, None] * (aux.a2[:, None] * vecs)
-    _validate_pairs(action, -values, vecs, s)
+    # the Perron value of a nonnegative F(s) is at least its largest entry,
+    # so it bounds its own residual's scale: the pairs are checked at scale 0
+    values, vecs, _, _ = pencil_pairs(aux.a1, aux.a2, -a, -b, min(2, aux.dim), s, 0.0, f)
     centres = a[:, None] * aux.a1.diagonal().real + b[:, None] * aux.a2
     _, unique = _ground_gaps(values, _gershgorin_widths(-centres, a[:, None] * radii))
     ground = vecs[:, :, 0]
@@ -446,11 +435,7 @@ def _judge_chunk(aux: AuxiliaryF, h_i: HermitianMatrix, hp, radii, s, perron, mi
     if np.iscomplexobj(ground):
         simple_positive &= np.abs(ground.imag).max(axis=1) <= 1e-9
 
-    e0 = np.array([w[0] for w, _ in mirror])
-    vecs = np.stack([v for _, v in mirror])
-    action = a[:, None, None] * (h_i.entries @ vecs) + b[:, None, None] * (hp[:, None] * vecs)
-    scales = a * _max_abs(h_i.entries) + b * float(np.max(np.abs(hp)))
-    _validate_pairs(action, e0[:, None], vecs, s, scales)
+    e0 = pencil_pairs(h_i.entries, hp, a, b, 1, s, a * maxima[0] + b * maxima[1], h_s)[0][:, 0]
     shift = aux.shift(s)
     defect = np.abs(-values[:, 0] - (shift - e0))
     mirror_ok = defect <= MIRROR_RTOL * (1.0 + np.abs(shift))

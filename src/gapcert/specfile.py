@@ -42,7 +42,6 @@ from .paulialg import (
     PauliExpression,
     PauliString,
     ProjectorSpec,
-    build_diagonal,
     norm_bound,
     to_matrix,
 )
@@ -185,9 +184,6 @@ class InstanceSpec:
             built = to_matrix(self.h_i)
             object.__setattr__(self, "_h_i_matrix", built)
         return built
-
-    def h_p_matrix(self) -> HermitianMatrix:
-        return build_diagonal(self.h_p)
 
 
 def _split_csv(payload: str, line_no: int, col0: int):

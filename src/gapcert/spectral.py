@@ -2,22 +2,23 @@
 
 Eigenvalues are returned in ascending order.  Every eigenvector is
 phase-fixed so that its largest-magnitude component is real and
-nonnegative (ties broken by the lowest index), which makes repeated runs
-on identical input bit-for-bit reproducible and comparisons up to global
-phase unnecessary in the common case.
+nonnegative (components within one part in 1e9 of the largest tie, and
+the lowest index wins), which makes repeated runs on identical input
+bit-for-bit reproducible and comparisons up to global phase unnecessary
+in the common case.
 
 One solver sits behind these conventions: every eigenpair comes from
 :func:`lapack_pairs`, the one call of LAPACK's MRRR drivers ``dsyevr``
 (real operators, as :class:`~gapcert.paulialg.HermitianMatrix` decides)
-or ``zheevr``, asked for the ``m`` lowest pairs only.  No pair is used
-before it is checked by residual and orthonormality, and no eigenvector
-before it is phase-fixed.  The helpers that do so take a leading stack
-axis of operators: :func:`low_spectrum` applies them to one operator (a
-stack of one), the sweep to a chunk of grid points or to the points of a
-refinement step, and the proof chain to a chunk of samples.
-:func:`ground_state` makes exactly one solve: its degeneracy verdict
-scales with the Gershgorin width of ``h``, which contains the spectral
-width and costs one pass over the entries.  One stacked helper,
+or ``zheevr``, asked for the ``m`` lowest pairs only.  No pair leaves this
+module before it is checked by residual and orthonormality, and no
+eigenvector before it is phase-fixed.  The helpers that do so take a
+leading stack axis of operators: :func:`low_spectrum` applies them to one
+operator, and :func:`pencil_pairs` to points of a pencil
+``a A + diag(b v)``, the form of every operator the sweep and the proof
+chain solve.  :func:`ground_state` makes exactly one solve: its degeneracy
+verdict scales with the Gershgorin width of ``h``, which contains the
+spectral width and costs one pass over the entries.  One stacked helper,
 :func:`_ground_gaps`, makes that verdict for it and for the chain.
 """
 
@@ -30,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import get_lapack_funcs
 
-from .paulialg import HermitianMatrix, _max_abs
+from .paulialg import HermitianMatrix, _max_abs, _scaled_plus_diagonal
 
 # Residual / orthonormality validation threshold (relative).
 RESIDUAL_RTOL = 1e-9
@@ -97,8 +98,8 @@ class GroundState:
 
 def _phase_factors(vectors: np.ndarray) -> np.ndarray:
     """Unit factors, shape ``(points, m)``, that bring each column of a
-    stack ``(points, d, m)`` to the :func:`fix_phase` convention (1 for a
-    zero column); for real columns, the sign of the pivot as ±1.0."""
+    stack ``(points, d, m)`` to the module's phase convention (1 for a zero
+    column); for real columns, the sign of the pivot as ±1.0."""
     points, _, m = vectors.shape
     magnitudes = np.abs(vectors)
     top = magnitudes.max(axis=1, keepdims=True)
@@ -109,18 +110,6 @@ def _phase_factors(vectors: np.ndarray) -> np.ndarray:
     sizes = np.abs(pivot)
     nonzero = sizes > 0.0
     return np.where(nonzero, pivot.conj() / np.where(nonzero, sizes, 1.0), 1.0)
-
-
-def fix_phase(vector: np.ndarray) -> np.ndarray:
-    """Rotate a vector's global phase to the canonical convention.
-
-    The component of largest magnitude is made real and nonnegative.
-    Components within one part in 1e9 of the maximum count as tied and
-    the lowest index wins, so vectors with equal-magnitude entries (up
-    to rounding) are fixed deterministically.
-    """
-    v = np.asarray(vector, dtype=complex)
-    return v * _phase_factors(v[np.newaxis, :, np.newaxis])[0, 0]
 
 
 def _validate_pairs(
@@ -267,7 +256,7 @@ def lapack_pairs(entries: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
     anything else to ``zheevr`` with its optimal workspace, each asked for
     the index range 1..m only; the solver reads one triangle of the array.
     The pairs are neither phase-fixed nor checked: :func:`low_spectrum` does
-    both for one operator, the sweep for a stack of points.
+    both for one operator, :func:`pencil_pairs` for a stack of points.
 
     Returns
     -------
@@ -314,8 +303,8 @@ def low_spectrum(h, m: int) -> tuple[np.ndarray, np.ndarray]:
     values : ndarray, shape (m,)
         Ascending eigenvalues.
     vectors : ndarray, shape (d, m)
-        Phase-fixed orthonormal columns in the :func:`fix_phase`
-        convention, real for a real operator.
+        Phase-fixed orthonormal columns in the module's convention, real
+        for a real operator.
 
     Raises
     ------
@@ -335,3 +324,32 @@ def low_spectrum(h, m: int) -> tuple[np.ndarray, np.ndarray]:
     values.flags.writeable = False
     vectors.flags.writeable = False
     return values, vectors
+
+
+def pencil_pairs(A: np.ndarray, v: np.ndarray, a, b, m: int, s, scales, out: np.ndarray):
+    """The ``m`` lowest eigenpairs of ``a_k A + diag(b_k v)`` at each
+    coefficient pair ``(a_k, b_k)``, phase-fixed and checked in one stacked pass.
+
+    Each operator is formed in ``out``, a work array of ``A``'s dtype that
+    LAPACK only reads (a fresh ``d x d`` array per point costs its page
+    faults anew), and solved by one :func:`lapack_pairs` call, Hermitian by
+    construction and not re-validated.  The pairs are checked as
+    :func:`low_spectrum`'s are, against residuals formed from ``A @ V`` and
+    ``v * V``, so no operator is stacked; ``scales`` bounds each operator's
+    entries (one value for all, or one per point) and ``s`` labels the
+    points in the message of a failed check.
+
+    Returns ``values``, shape ``(points, m)``, the phase-fixed ``vectors``,
+    shape ``(points, d, m)``, and the products ``A @ vectors`` and
+    ``diag(v) @ vectors`` of the same shape, for a caller that needs the
+    action of one piece of the pencil alone.
+    """
+    solved = [lapack_pairs(_scaled_plus_diagonal(ak, A, bk, v, out), m) for ak, bk in zip(a, b)]
+    # np.stack keeps each point's Fortran-ordered columns, and with them the
+    # summation order of the products below
+    values, vectors = np.array([w for w, _ in solved]), np.stack([x for _, x in solved])
+    vectors *= _phase_factors(vectors)[:, np.newaxis, :]
+    av, pv = A @ vectors, v[:, np.newaxis] * vectors
+    action = a[:, np.newaxis, np.newaxis] * av + b[:, np.newaxis, np.newaxis] * pv
+    _validate_pairs(action, values, vectors, s, scales)
+    return values, vectors, av, pv

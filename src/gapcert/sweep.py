@@ -8,21 +8,20 @@ minimum that could hide a closing is refined off-grid, minima below
 ``1e-8 * (1 + spectral width)`` are reported as crossings, and ``min_gap``
 always refers to the refined minimum so it does not depend on whether the
 true minimizer lands on a grid point.  Every solve, at a grid point or
-inside the refinement, is one call of :func:`~gapcert.spectral.lapack_pairs`
+inside the refinement, is one call of :func:`~gapcert.spectral.pencil_pairs`
 and computes only the levels it reports.
 
-Grid and refinement points share one solve: one driver call per point,
-then one vectorised pass over the points that phase-fixes and checks every
-pair (the helpers behind :func:`~gapcert.spectral.low_spectrum`, on a
-stack) and differentiates.  The grid goes through it in chunks of at most
-``CHUNK_BYTES`` of stacked eigenvectors, the refinement with two levels at
-one point, or at a step's two probes, at a time, so a failed check names
-its point by ``s`` either way.
+Grid and refinement points share that solve: one driver call per point,
+then one stacked pass over the points that phase-fixes and checks every
+pair, and the sweep differentiates from its products.  The grid goes
+through it in chunks of at most ``CHUNK_BYTES`` of stacked eigenvectors,
+the refinement with two levels at one point, or at a step's two probes,
+at a time, so a failed check names its point by ``s`` either way.
 
 Every solve also yields, for almost nothing, one block of Hellmann--Feynman
 matrix elements ``<psi_k| dH/ds |psi_j>`` (j = 0, 1) from its checked
 eigenvectors, with ``dH/ds = a' h_i + b' diag(h_p)`` at the schedule's
-one-sided slopes; it reuses the check's products ``h_i @ V`` and
+one-sided slopes; it reuses the solve's products ``h_i @ V`` and
 ``diag(h_p) @ V``.  Its diagonal gives the gap's slope, which guides the
 refinement: where the slopes at the two ends of a grid step go (-, +),
 the slope's root is found there to ``REFINE_XATOL``; any other step is
@@ -45,16 +44,9 @@ from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
-from .paulialg import HermitianMatrix, _max_abs, _scaled_plus_diagonal, diagonal_values
+from .paulialg import HermitianMatrix, _max_abs, diagonal_values
 from .specfile import LINEAR, InstanceSpec, ScheduleSpec
-from .spectral import (
-    CHUNK_BYTES,
-    DEGENERACY_RTOL,
-    _phase_factors,
-    _validate_pairs,
-    lapack_pairs,
-    top_eigenvalue,
-)
+from .spectral import CHUNK_BYTES, DEGENERACY_RTOL, pencil_pairs, top_eigenvalue
 
 # A refined gap minimum below CROSSING_RTOL * (1 + spectral width) is a crossing.
 CROSSING_RTOL = 1e-8
@@ -247,30 +239,18 @@ def sweep_pair(
     # every operator below is Hermitian by construction.
     A = h_i.entries
 
-    # every point's operator is formed in this one array, which LAPACK
-    # only reads: a fresh d x d array per point costs its page faults anew
+    # every point's operator is formed in this one work array
     operator = np.empty_like(A)
     # the size of each operator's entries is at most a * |A| + b * |hp|
     max_a, max_hp = _max_abs(A), float(np.max(np.abs(hp)))
 
     def solve(points: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         # The one solve of the sweep, at grid and refinement points alike:
-        # one driver call per point, then one stacked pass over the points,
-        # the phase convention, the pair check and the Hellmann--Feynman
-        # block, which share the products of h_i and of diag(hp) with vecs.
+        # the pencil's checked pairs, then the Hellmann--Feynman block,
+        # which reuses its products of h_i and of diag(hp) with the vectors.
         a, b = schedule.coefficients(points)
-        solved = [
-            lapack_pairs(_scaled_plus_diagonal(aa, A, bb, hp, operator), m)
-            for aa, bb in zip(a, b)
-        ]
-        values = np.array([w for w, _ in solved])
-        vecs = np.stack([v for _, v in solved])
-        del solved
-        vecs *= _phase_factors(vecs)[:, np.newaxis, :]
-        av, pv = A @ vecs, hp[:, np.newaxis] * vecs
-        _validate_pairs(
-            a[:, None, None] * av + b[:, None, None] * pv, values, vecs, points,
-            scales=a * max_a + b * max_hp,
+        values, vecs, av, pv = pencil_pairs(
+            A, hp, a, b, m, points, a * max_a + b * max_hp, operator
         )
         return values, *_hellmann_feynman(av, pv, vecs, *schedule.slopes(points))
 

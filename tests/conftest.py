@@ -1,5 +1,3 @@
-import sys
-
 import numpy as np
 import pytest
 
@@ -8,13 +6,12 @@ from gapcert import spectral
 
 def patch_solver(monkeypatch, replacement):
     """Rebind :func:`gapcert.spectral.lapack_pairs`, the one per-point solve,
-    to ``replacement`` in every gapcert module that looks it up, so that it
-    replaces every solve: the sweep's grid points and everything that goes
-    through :func:`gapcert.spectral.low_spectrum`."""
-    solve = spectral.lapack_pairs
-    for name, module in list(sys.modules.items()):
-        if name.startswith("gapcert") and getattr(module, "lapack_pairs", None) is solve:
-            monkeypatch.setattr(module, "lapack_pairs", replacement)
+    to ``replacement``.  Only :mod:`gapcert.spectral` looks it up
+    (``test_spectral`` checks this), so it replaces every solve: each point
+    of :func:`gapcert.spectral.pencil_pairs` (the sweep's grid and
+    refinement, the proof chain's Perron pairs and mirror levels) and
+    everything that goes through :func:`gapcert.spectral.low_spectrum`."""
+    monkeypatch.setattr(spectral, "lapack_pairs", replacement)
 
 
 @pytest.fixture

@@ -26,6 +26,7 @@ from gapcert.paulialg import (
     HermitianMatrix,
     PauliExpression,
     ProjectorSpec,
+    build_diagonal,
     build_pauli,
     to_matrix,
 )
@@ -327,7 +328,7 @@ def test_criterion_08_schedule_rescaling_identity():
                     m_levels=2,
                 )
                 A = instance.h_i_matrix().entries
-                B = instance.h_p_matrix().entries
+                B = build_diagonal(instance.h_p).entries
                 a, b = schedule.coefficients(profile.grid)
                 scale = a + b
                 sigma = b / scale

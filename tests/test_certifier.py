@@ -31,12 +31,13 @@ from gapcert.paulialg import (
     DiagonalSpec,
     HermitianMatrix,
     PauliExpression,
+    build_diagonal,
     build_pauli,
     interpolate,
 )
 from gapcert.perron import default_chain_grid, verify_proof_chain_pair
 from gapcert.specfile import parse_instance
-from gapcert.spectral import DEGENERACY_RTOL, fix_phase, ground_state
+from gapcert.spectral import DEGENERACY_RTOL, _phase_factors, ground_state
 from gapcert.sweep import gap_sweep, sweep_pair
 from test_acceptance import COUNTEREXAMPLE_TEXT, certified_corpus
 
@@ -211,13 +212,13 @@ def test_hp_vector_and_matrix_forms_give_identical_results():
     gauge = certify(instance).gauge
     profiles = [
         sweep_pair(h_i, h_p, grid_points=41)
-        for h_p in (vector, instance.h_p_matrix())
+        for h_p in (vector, build_diagonal(instance.h_p))
     ]
     assert np.array_equal(profiles[0].levels, profiles[1].levels)
     assert profiles[0].min_gap == profiles[1].min_gap
     chains = [
         verify_proof_chain_pair(h_i, h_p, gauge, default_chain_grid(11))
-        for h_p in (vector, instance.h_p_matrix())
+        for h_p in (vector, build_diagonal(instance.h_p))
     ]
     assert chains[0].passed
     assert (chains[0].c1, chains[0].c2) == (chains[1].c1, chains[1].c2)
@@ -325,7 +326,7 @@ def test_rotated_interpolated_ground_stays_positive_when_certified():
     report = certify(instance)
     assert report.is_certified
     u = report.gauge.diagonal()
-    h_i, h_p = instance.h_i_matrix(), instance.h_p_matrix()
+    h_i, h_p = instance.h_i_matrix(), build_diagonal(instance.h_p)
     for s in np.linspace(0.0, 0.98, 25):
         gs = ground_state(interpolate(h_i, h_p, float(s)))
         rotated = gs.vector * u.conj()
@@ -389,7 +390,7 @@ def reference_certificate(h_i):
     width = float(values[-1] - values[0])
     gap = float(values[1] - values[0]) if d > 1 else math.inf
     unique = gap > DEGENERACY_RTOL * (1.0 + width)
-    vector = fix_phase(vectors[:, 0])
+    vector = vectors[:, 0] * _phase_factors(vectors[np.newaxis, :, :1])[0, 0]
     min_r = float(np.min(np.abs(vector)))
     if not (unique and min_r >= POSITIVITY_TOL):
         return False, unique, gap, min_r, width, None, None

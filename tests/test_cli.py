@@ -11,6 +11,7 @@ import weakref
 import numpy as np
 import pytest
 import scipy.linalg
+from conftest import patch_solver
 
 import gapcert
 from gapcert import paulialg
@@ -18,7 +19,7 @@ from gapcert.certifier import certify
 from gapcert.cli import build_parser, main
 from gapcert.perron import power_limit_projector
 from gapcert.specfile import parse_instance
-from gapcert.spectral import eigensystem
+from gapcert.spectral import EigensolverError, eigensystem
 
 COUNTEREXAMPLE = """\
 qubits = 2
@@ -643,6 +644,21 @@ def test_an_instance_that_would_overflow_is_refused_when_read(run, spec_file, so
     assert (code, out, solve_log) == (1, "", [])
     assert err.startswith("error: h_i and h_p have norm bound inf, above 1e+100: ")
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_a_failed_solve_exits_with_one_error_line(run, spec_file, monkeypatch, command):
+    # a LAPACK failure or a failed pair check, wherever the command solves
+    calls = []
+
+    def failing(h, m):
+        calls.append(m)
+        raise EigensolverError("dsyevr returned info = 1 with 0 of 2 pairs")
+
+    patch_solver(monkeypatch, failing)
+    code, out, err = run(command, spec_file(HOPPING))
+    assert calls and (code, out) == (1, "")
+    assert err == "error: dsyevr returned info = 1 with 0 of 2 pairs\n"
 
 
 @pytest.mark.parametrize(

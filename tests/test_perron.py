@@ -5,18 +5,24 @@ primitivity exponents reported by the library are checked against an
 independent computation.
 """
 
+import re
+
 import numpy as np
 import pytest
+from conftest import patch_solver
 from test_acceptance import certified_corpus
+from test_cli import THREE_QUBIT_COMPLEX
 
-from gapcert import perron
+from gapcert import perron, spectral
 from gapcert.cases import CaseParams, build_case
 from gapcert.certifier import PhaseGauge, certify, extract_gauge
 from gapcert.paulialg import (
     DiagonalSpec,
     HermitianMatrix,
     PauliExpression,
+    build_diagonal,
     build_pauli,
+    diagonal_values,
 )
 from gapcert.perron import (
     AuxiliaryF,
@@ -30,7 +36,8 @@ from gapcert.perron import (
     verify_proof_chain_pair,
     wielandt_bound,
 )
-from gapcert.spectral import ground_state
+from gapcert.specfile import parse_instance
+from gapcert.spectral import EigensolverError, ground_state
 
 
 def pauli(n, pairs):
@@ -261,7 +268,7 @@ def test_certified_f_primitive_on_whole_grid():
     report = certify(instance)
     assert report.is_certified
     aux = auxiliary_f(
-        instance.h_i_matrix(), instance.h_p_matrix(), report.gauge
+        instance.h_i_matrix(), build_diagonal(instance.h_p), report.gauge
     )
     for s in default_chain_grid(21):
         cert = primitivity(aux.sample(float(s)))
@@ -451,3 +458,88 @@ def test_default_chain_grid_excludes_endpoint():
     assert grid[-1] == pytest.approx(1.0 - 1.0 / 101)
     assert grid.size == 101
     assert np.all(np.diff(grid) > 0)
+
+
+# ---------------------------------------------------------------------------
+# the stacked pass: each chunk of samples solves its Perron pairs, then its
+# mirror levels, one pencil_pairs call each
+
+
+CHAIN_CASES = {
+    "real": build_case(CaseParams("bit_rotation", 3, ai=(-1.0, -0.5, -0.25))),
+    "complex": parse_instance(THREE_QUBIT_COMPLEX),
+}
+
+
+def chain_parts(case):
+    instance = CHAIN_CASES[case]
+    h_i = instance.h_i_matrix()
+    hp = diagonal_values(instance.h_p, h_i.dim)
+    gauge = certify(instance).gauge
+    return h_i, hp, gauge, auxiliary_f(h_i, hp, gauge)
+
+
+def chain_chunk_bytes(samples, aux):
+    """A CHUNK_BYTES that makes each chunk of the chain hold ``samples`` samples."""
+    return samples * aux.dim * (min(2, aux.dim) + 1) * aux.a1.itemsize
+
+
+@pytest.mark.parametrize("case", sorted(CHAIN_CASES))
+def test_chunk_size_leaves_the_chain_report_identical(case, monkeypatch):
+    h_i, hp, gauge, aux = chain_parts(case)
+    assert aux.a1.dtype == (np.complex128 if case == "complex" else np.float64)
+    # s = 1 leaves F diagonal, so the last sample fails primitivity
+    grid = np.append(default_chain_grid(40), 1.0)
+    defects = []
+    judged = perron._judged_sample
+
+    def recording(*args):
+        defects.append(args[3])  # the mirror defect, bit for bit
+        return judged(*args)
+
+    monkeypatch.setattr(perron, "_judged_sample", recording)
+    reports = []
+    for samples in (1, 3, grid.size):
+        monkeypatch.setattr(perron, "CHUNK_BYTES", chain_chunk_bytes(samples, aux))
+        report = verify_proof_chain_pair(h_i, hp, gauge, grid)
+        reports.append((report.c1, report.c2, report.samples, defects[:]))
+        del defects[:]
+    assert reports[1] == reports[0] and reports[2] == reports[0]
+    assert [sample.s for sample in reports[0][2]] == grid.tolist()
+    assert [sample.ok for sample in reports[0][2]] == [True] * 40 + [False]
+    assert reports[0][2][-1].note == "primitivity failed"
+
+
+@pytest.mark.parametrize("case", sorted(CHAIN_CASES))
+@pytest.mark.parametrize("solve", ["perron", "mirror"])
+@pytest.mark.parametrize("corrupt", ["value", "vector"])
+def test_a_pair_corrupted_inside_a_chunk_names_its_sample(case, solve, corrupt, monkeypatch):
+    # chunks of 3 samples: sample 4 sits in the middle of the second
+    h_i, hp, gauge, aux = chain_parts(case)
+    monkeypatch.setattr(perron, "CHUNK_BYTES", chain_chunk_bytes(3, aux))
+    grid = default_chain_grid(11)
+    s = float(grid[4])
+    if solve == "perron":  # the Perron pair of F(s) is the ground pair of -F(s)
+        target = -aux.sample(s)
+    else:
+        target = (1.0 - s) * h_i.entries + np.diag(s * hp)
+    pairs = spectral.lapack_pairs
+    calls = []
+
+    def corrupted(h, m):
+        values, vectors = pairs(h, m)
+        if np.array_equal(h, target):
+            if corrupt == "value":
+                values[-1] += 1e-6
+            else:  # one level: the vector is stretched
+                vectors[:, -1] += 1e-6 * vectors[:, 0]
+        calls.append(m)
+        return values, vectors
+
+    patch_solver(monkeypatch, corrupted)
+    point = re.escape(f" at s = {s!r}")
+    with pytest.raises(EigensolverError, match=f"(residual|orthonormality).*{point}$"):
+        verify_proof_chain_pair(h_i, hp, gauge, grid)
+    # c1's top eigenvalue and the first chunk's six solves, then the second
+    # chunk's Perron solves and, for a mirror level, its mirror solves
+    assert len(calls) == {"perron": 10, "mirror": 13}[solve]

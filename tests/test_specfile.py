@@ -12,6 +12,7 @@ from gapcert.paulialg import (
     HermitianMatrix,
     PauliExpression,
     ProjectorSpec,
+    build_diagonal,
 )
 from gapcert.specfile import (
     LINEAR,
@@ -331,7 +332,7 @@ def test_matrix_helpers_agree_with_builders():
     )
     assert np.array_equal(h_i, expected)
     assert np.array_equal(
-        spec.h_p_matrix().entries, np.diag([0.0, 2.0, 6.0, 8.0]).astype(complex)
+        build_diagonal(spec.h_p).entries, np.diag([0.0, 2.0, 6.0, 8.0]).astype(complex)
     )
     # built once and kept read-only on the spec, outside its value
     assert spec.h_i_matrix() is spec.h_i_matrix()

@@ -5,7 +5,9 @@ Gershgorin upper bound c, so the ground energy of H is c minus the dominant
 eigenvalue of B.  No eigh call appears in the oracle.
 """
 
+import ast
 import math
+import pathlib
 
 import numpy as np
 import pytest
@@ -17,7 +19,6 @@ from gapcert.spectral import (
     EigenSystem,
     GroundState,
     eigensystem,
-    fix_phase,
     ground_state,
     low_spectrum,
 )
@@ -116,17 +117,23 @@ def test_eigenvalue_sum_is_trace():
         assert abs(np.sum(sys.eigenvalues) - np.real(np.trace(h))) < 1e-10 * d
 
 
+def phase_fixed(vector):
+    """One vector brought to the phase convention by the stacked helper."""
+    v = np.asarray(vector, dtype=complex)
+    return v * spectral._phase_factors(v[np.newaxis, :, np.newaxis])[0, 0]
+
+
 def test_fix_phase_convention():
     v = np.array([0.3j, -0.9j, 0.3], dtype=complex)
-    fixed = fix_phase(v)
+    fixed = phase_fixed(v)
     assert fixed[1].imag == 0.0 and fixed[1].real > 0.0
     # global-phase invariance: e^{i t} v maps to the same representative
-    again = fix_phase(v * np.exp(0.7j))
+    again = phase_fixed(v * np.exp(0.7j))
     assert np.max(np.abs(fixed - again)) < 1e-15
     # tie on magnitude: the lowest index wins
-    tie = fix_phase(np.array([1.0j, 1.0j]))
+    tie = phase_fixed(np.array([1.0j, 1.0j]))
     assert tie[0].real > 0.0 and abs(tie[0].imag) < 1e-15
-    zero = fix_phase(np.zeros(3, dtype=complex))
+    zero = phase_fixed(np.zeros(3, dtype=complex))
     assert np.array_equal(zero, np.zeros(3))
 
 
@@ -265,7 +272,7 @@ def test_seam_vectors_orthonormal_and_phase_fixed(seam_operator):
     assert np.max(np.abs(residual)) < 1e-12 * d
     for k in range(4):
         column = vectors[:, k]
-        assert np.max(np.abs(fix_phase(column) - column)) < 1e-15
+        assert np.max(np.abs(phase_fixed(column) - column)) < 1e-15
         # the lowest index within 1e-9 of the largest magnitude is the pivot
         magnitudes = np.abs(column)
         pivot = int(np.nonzero(magnitudes >= (1.0 - 1e-9) * magnitudes.max())[0][0])
@@ -328,3 +335,24 @@ def test_accepts_wrapper_and_array_alike():
     a = eigensystem(h)
     b = eigensystem(HermitianMatrix(h))
     assert np.array_equal(a.eigenvalues, b.eigenvalues)
+
+
+def test_only_spectral_touches_the_solver():
+    # one seam: no other module imports, calls or names LAPACK's drivers,
+    # the raw pairs or the helpers that phase-fix and check them
+    guarded = {"lapack_pairs", "_phase_factors", "_validate_pairs", "get_lapack_funcs"}
+    package = pathlib.Path(spectral.__file__).parent
+    sources = sorted(package.glob("*.py"))
+    assert package / "spectral.py" in sources and len(sources) > 5
+    for path in sources:
+        if path.name == "spectral.py":
+            continue
+        names = set()
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                names.update(alias.name.rsplit(".", 1)[-1] for alias in node.names)
+            elif isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+        assert not names & guarded, (path.name, sorted(names & guarded))

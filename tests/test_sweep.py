@@ -22,8 +22,10 @@ from gapcert.paulialg import (
     HermitianMatrix,
     PauliExpression,
     ProjectorSpec,
+    build_diagonal,
     build_pauli,
 )
+from gapcert import spectral
 from gapcert import sweep as sweep_module
 from gapcert.specfile import LINEAR, InstanceSpec, ScheduleSpec, parse_instance
 from gapcert.spectral import DEGENERACY_RTOL, EigensolverError
@@ -306,7 +308,7 @@ def test_a_pair_corrupted_inside_a_chunk_names_its_point(kind, corrupt, monkeypa
     # chunks of 3 points: grid point 4 sits in the middle of the second
     h_i = SEAM_PAIRS[kind]
     monkeypatch.setattr(sweep_module, "CHUNK_BYTES", chunk_bytes(3, h_i, 4))
-    solve = sweep_module.lapack_pairs
+    solve = spectral.lapack_pairs
     calls = []
 
     def corrupted(h, m):
@@ -331,7 +333,7 @@ def test_a_pair_corrupted_at_a_refinement_evaluation_names_its_point(kind, monke
     # the grid solves for 4 levels and the norm bound for 1, so the first
     # two-level solve is the refinement's first evaluation
     h_i = SEAM_PAIRS[kind]
-    solve = sweep_module.lapack_pairs
+    solve = spectral.lapack_pairs
     corrupted_operators = []
 
     def corrupted(h, m):
@@ -572,7 +574,7 @@ def test_tabulated_gap_rescales_to_the_linear_profile():
     schedule = tabulated_example()
     profile = schedule_sweep(instance, schedule=schedule, grid_points=101)
     A = instance.h_i_matrix().entries
-    B = instance.h_p_matrix().entries
+    B = build_diagonal(instance.h_p).entries
     a, b = schedule.coefficients(profile.grid)
     scale = a + b
     sigma = b / scale
