@@ -44,6 +44,7 @@ from .paulialg import (
 from .specfile import InstanceSpec
 from .spectral import (
     CHUNK_BYTES,
+    MAX_GRID_POINTS,
     _gershgorin_widths,
     _ground_gaps,
     _row_radii,
@@ -215,8 +216,8 @@ def primitivity(matrix) -> PrimitivityCertificate:
         return PrimitivityCertificate(reducible_blocks=((0,),))
 
     # scipy.sparse is imported where the graph is decided, not with the
-    # module: it adds about 40 ms to a cold start, and most commands never
-    # decide a graph
+    # module: with the scipy.linalg package it brings, it adds about 0.3 s
+    # to a cold start, and most commands never decide a graph
     from scipy.sparse import csr_matrix
     from scipy.sparse.csgraph import connected_components
 
@@ -315,10 +316,19 @@ class ProofChainReport:
 MIRROR_RTOL = 1e-9
 
 
-def default_chain_grid(points: int = 101) -> np.ndarray:
-    """Uniform sample grid on [0, 1 - 1/points]."""
+def _check_sample_count(points: int) -> None:
+    """Refuse a chain of no samples, or of more than ``MAX_GRID_POINTS``."""
     if points < 1:
         raise ValueError(f"the proof chain needs at least 1 sample point, got {points}")
+    if points > MAX_GRID_POINTS:
+        raise ValueError(
+            f"the proof chain takes at most {MAX_GRID_POINTS} sample points, got {points}"
+        )
+
+
+def default_chain_grid(points: int = 101) -> np.ndarray:
+    """Uniform sample grid on [0, 1 - 1/points]."""
+    _check_sample_count(points)
     return np.linspace(0.0, 1.0 - 1.0 / points, points)
 
 
@@ -338,7 +348,7 @@ def verify_proof_chain_pair(
     ``1 + |shift|``.  ``h_p`` may take any form
     :func:`~gapcert.paulialg.diagonal_values` accepts.  An empty
     ``s_samples`` raises ``ValueError``: a chain that checks no sample
-    does not pass.
+    does not pass.  So does one of more than ``MAX_GRID_POINTS`` samples.
 
     Primitivity depends on F(s) only through its structural pattern, so
     :func:`primitivity` runs only when a sample's pattern differs from the
@@ -347,8 +357,7 @@ def verify_proof_chain_pair(
     samples are then judged a chunk at a time (see :func:`_judge_chunk`).
     """
     s_samples = default_chain_grid() if s_samples is None else np.asarray(s_samples, float)
-    if not s_samples.size:
-        raise ValueError("the proof chain needs at least 1 sample point, got 0")
+    _check_sample_count(s_samples.size)
     hp = diagonal_values(h_p, h_i.dim)
     aux = auxiliary_f(h_i, hp, gauge)
     m = min(2, aux.dim)

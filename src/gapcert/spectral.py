@@ -26,10 +26,14 @@ from __future__ import annotations
 
 import functools
 import math
+import os
+import sys
 from dataclasses import dataclass
+from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
+from importlib.util import module_from_spec
 
 import numpy as np
-from scipy.linalg import get_lapack_funcs
+import scipy
 
 from .paulialg import HermitianMatrix, _max_abs, _scaled_plus_diagonal
 
@@ -41,22 +45,52 @@ DEGENERACY_RTOL = 1e-8
 # points in chunks whose stacked (points, d, m) eigenvectors take at most
 # this many bytes, or one point if one alone takes more.
 CHUNK_BYTES = 1 << 16
+# The most points a sweep's grid or a proof chain's samples may hold, checked
+# before either is allocated: about a thousand times the sweep's default of
+# 1001, above every documented grid.  Each point costs a solve, so a larger
+# grid would run for hours; 3e8 points take 2.4 GB for their s values alone.
+MAX_GRID_POINTS = 1_000_000
 
 
 class EigensolverError(RuntimeError):
     """Raised when a decomposition fails its residual validation."""
 
 
+def _load_flapack():
+    """scipy's compiled LAPACK wrappers, ``scipy.linalg._flapack``, without
+    running ``scipy/linalg/__init__.py``: that package import loads numpy's
+    f2py, testing, ma and random modules, most of a cold start.
+
+    The module is registered in ``sys.modules`` under its own name, so a
+    later ``import scipy.linalg`` reuses it, and ``scipy.linalg.lapack``'s
+    ``dsyevr`` and ``zheevr`` are the very objects read from it here.  The
+    ``scipy`` package itself is imported with this module: its ``__init__``
+    is light (subpackages load lazily), and scipy's Windows wheels put the
+    extension's bundled libraries on the DLL search path there.
+    """
+    name = "scipy.linalg._flapack"
+    if name in sys.modules:
+        return sys.modules[name]
+    directory = os.path.join(scipy.__path__[0], "linalg")
+    spec = FileFinder(directory, (ExtensionFileLoader, EXTENSION_SUFFIXES)).find_spec(name)
+    if spec is None:
+        raise ImportError(f"no compiled {name} in {directory}", name=name)
+    module = sys.modules[name] = module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+_FLAPACK = _load_flapack()
 # LAPACK's MRRR drivers, which can return an index range of eigenpairs.
-_SYEVR = get_lapack_funcs("syevr", dtype=np.float64)
-_HEEVR = get_lapack_funcs("heevr", dtype=np.complex128)
+_SYEVR = _FLAPACK.dsyevr
+_HEEVR = _FLAPACK.zheevr
 
 
 @functools.lru_cache(maxsize=64)
 def _heevr_workspace(d: int) -> dict:
     """``zheevr``'s optimal workspace sizes at dimension ``d``, for unpacking
     into the call: f2py's default ``lwork = 2d`` is the minimum, and slow."""
-    work, rwork, iwork, info = get_lapack_funcs("heevr_lwork", dtype=np.complex128)(d)
+    work, rwork, iwork, info = _FLAPACK.zheevr_lwork(d)
     if info != 0:
         raise EigensolverError(f"zheevr workspace query returned info = {info}")
     return {"lwork": int(work.real), "lrwork": int(rwork), "liwork": int(iwork)}

@@ -46,7 +46,13 @@ import numpy as np
 
 from .paulialg import HermitianMatrix, _max_abs, diagonal_values
 from .specfile import LINEAR, InstanceSpec, ScheduleSpec
-from .spectral import CHUNK_BYTES, DEGENERACY_RTOL, pencil_pairs, top_eigenvalue
+from .spectral import (
+    CHUNK_BYTES,
+    DEGENERACY_RTOL,
+    MAX_GRID_POINTS,
+    pencil_pairs,
+    top_eigenvalue,
+)
 
 # A refined gap minimum below CROSSING_RTOL * (1 + spectral width) is a crossing.
 CROSSING_RTOL = 1e-8
@@ -55,10 +61,11 @@ CROSSING_RTOL = 1e-8
 REFINE_XATOL = 1e-12
 
 # Only the crossing refinement uses scipy.optimize, and importing it takes
-# about a quarter of a second, so it is imported on first use, not with the
-# module.  Its three names stay attributes of this module, looked up here at
-# call time: a caller may read or rebind ``sweep.minimize_scalar`` (a tracer
-# that wraps it) before any sweep has run, and a rebound name is kept.
+# about 0.55 s (the scipy.linalg package included), so it is imported on
+# first use, not with the module.  Its three names stay attributes of this
+# module, looked up here at call time: a caller may read or rebind
+# ``sweep.minimize_scalar`` (a tracer that wraps it) before any sweep has
+# run, and a rebound name is kept.
 _OPTIMIZE_NAMES = ("OptimizeResult", "brentq", "minimize_scalar")
 if TYPE_CHECKING:
     from scipy.optimize import OptimizeResult, brentq, minimize_scalar
@@ -227,6 +234,8 @@ def sweep_pair(
     """
     if grid_points < 2:
         raise ValueError("grid needs at least two points")
+    if grid_points > MAX_GRID_POINTS:
+        raise ValueError(f"grid takes at most {MAX_GRID_POINTS} points, got {grid_points}")
     hp = diagonal_values(h_p, h_i.dim)
     d = h_i.dim
     if m_levels is None:

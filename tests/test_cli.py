@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 import warnings
 import weakref
 
@@ -19,7 +20,7 @@ from gapcert.certifier import certify
 from gapcert.cli import build_parser, main
 from gapcert.perron import power_limit_projector
 from gapcert.specfile import parse_instance
-from gapcert.spectral import EigensolverError, eigensystem
+from gapcert.spectral import MAX_GRID_POINTS, EigensolverError, eigensystem
 
 COUNTEREXAMPLE = """\
 qubits = 2
@@ -364,6 +365,22 @@ def test_verify_proof_rejects_an_empty_grid(run, spec_file, points):
     assert err == f"error: the proof chain needs at least 1 sample point, got {points}\n"
 
 
+@pytest.mark.parametrize("command", ["sweep", "estimate", "verify-proof"])
+def test_a_huge_grid_is_refused_before_anything_is_allocated(run, spec_file, solve_log, command):
+    # a billion points would take 8 GB for the s values alone: one error
+    # line, no solve, and no grid allocated
+    tracemalloc.start()
+    try:
+        code, out, err = run(command, spec_file(STOQUASTIC), "--grid", "1000000000")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (code, out, solve_log) == (1, "", [])
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert f"at most {MAX_GRID_POINTS} " in err and err.endswith(", got 1000000000\n")
+    assert peak < 1 << 20
+
+
 @pytest.mark.parametrize("points", [1, 5, 11])
 def test_verify_proof_solve_count(run, spec_file, solve_log, points):
     # certify's ground solve, the top of h_i for c1, then per sample the
@@ -465,8 +482,10 @@ def test_python_dash_m_runs_the_console_script(run, spec_file, module):
 # cold start: a fresh interpreter imports only what the command runs
 
 # two scipy packages that only some commands use: the sweep's refinement
-# (scipy.optimize) and the decision of a graph (scipy.sparse)
-DEFERRED = ("scipy.optimize", "scipy.sparse")
+# (scipy.optimize) and the decision of a graph (scipy.sparse); and the
+# scipy.linalg package, whose import loads numpy.f2py among much else: every
+# solve takes LAPACK from its compiled extension alone
+DEFERRED = ("scipy.optimize", "scipy.sparse", "scipy.linalg", "numpy.f2py")
 
 
 def run_fresh(script, *args):
@@ -486,12 +505,45 @@ def run_fresh(script, *args):
         "import gapcert",
         "import gapcert.cli",
         "import gapcert.cli; gapcert.cli.main(['certify', sys.argv[1]])",
+        "import gapcert.cli; assert gapcert.cli.main(['blocks', sys.argv[2]]) == 0",
     ],
 )
 def test_a_cold_start_leaves_the_deferred_packages_unloaded(spec_file, statement):
     script = f"import sys; {statement}; print(sorted(set({DEFERRED!r}) & set(sys.modules)))"
-    out = run_fresh(script, spec_file(STOQUASTIC))
+    out = run_fresh(script, spec_file(STOQUASTIC), spec_file(HOPPING, "hopping.spec"))
     assert out.endswith("[]\n")
+
+
+@pytest.mark.parametrize("first", ["gapcert.spectral", "scipy.linalg"])
+def test_the_drivers_are_scipys_own_in_either_import_order(first):
+    # spectral loads scipy's compiled LAPACK module without the scipy.linalg
+    # package; whichever comes first, both hold the very same routines, so
+    # no solve can differ from scipy.linalg.lapack's by a bit
+    script = (
+        f"import {first}\n"
+        "import gapcert.spectral as spectral, scipy.linalg.lapack as lapack\n"
+        "assert spectral._SYEVR is lapack.dsyevr\n"
+        "assert spectral._HEEVR is lapack.zheevr\n"
+        "assert spectral._FLAPACK.zheevr_lwork is lapack.zheevr_lwork\n"
+        "print('ok')\n"
+    )
+    assert run_fresh(script) == "ok\n"
+
+
+def test_a_missing_lapack_extension_fails_the_import_naming_the_directory(tmp_path):
+    # a scipy package without its compiled LAPACK module
+    (tmp_path / "scipy").mkdir()
+    (tmp_path / "scipy" / "__init__.py").write_text("")
+    script = (
+        "import sys\n"
+        "sys.path.insert(0, sys.argv[1])\n"
+        "try:\n"
+        "    import gapcert.spectral\n"
+        "except ImportError as exc:\n"
+        "    print(exc)\n"
+    )
+    out = run_fresh(script, str(tmp_path))
+    assert out == f"no compiled scipy.linalg._flapack in {tmp_path / 'scipy' / 'linalg'}\n"
 
 
 def test_a_cold_sweep_imports_scipy_optimize_for_its_refinement(spec_file):

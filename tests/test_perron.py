@@ -37,7 +37,7 @@ from gapcert.perron import (
     wielandt_bound,
 )
 from gapcert.specfile import parse_instance
-from gapcert.spectral import EigensolverError, ground_state
+from gapcert.spectral import MAX_GRID_POINTS, EigensolverError, ground_state
 
 
 def pauli(n, pairs):
@@ -450,6 +450,16 @@ def test_chain_refuses_an_empty_sample_list(empty):
     gauge = certify(instance).gauge
     with pytest.raises(ValueError, match="at least 1 sample point"):
         verify_proof_chain(instance, gauge, s_samples=empty)
+
+
+def test_chain_refuses_more_samples_than_the_maximum(solve_log):
+    # refused before any sample is solved
+    instance = build_case(CaseParams("transverse_positive", 2, g=0.8))
+    gauge = certify(instance).gauge
+    solve_log.clear()
+    with pytest.raises(ValueError, match=f"at most {MAX_GRID_POINTS} sample points"):
+        verify_proof_chain(instance, gauge, s_samples=np.zeros(MAX_GRID_POINTS + 1))
+    assert solve_log == []
 
 
 def test_default_chain_grid_excludes_endpoint():

@@ -339,8 +339,17 @@ def test_accepts_wrapper_and_array_alike():
 
 def test_only_spectral_touches_the_solver():
     # one seam: no other module imports, calls or names LAPACK's drivers,
-    # the raw pairs or the helpers that phase-fix and check them
-    guarded = {"lapack_pairs", "_phase_factors", "_validate_pairs", "get_lapack_funcs"}
+    # the compiled module they come from and its loader, the raw pairs or
+    # the helpers that phase-fix and check them
+    guarded = {
+        "lapack_pairs",
+        "_phase_factors",
+        "_validate_pairs",
+        "get_lapack_funcs",
+        "_load_flapack",
+        "_flapack",
+        "_FLAPACK",
+    }
     package = pathlib.Path(spectral.__file__).parent
     sources = sorted(package.glob("*.py"))
     assert package / "spectral.py" in sources and len(sources) > 5

@@ -28,7 +28,7 @@ from gapcert.paulialg import (
 from gapcert import spectral
 from gapcert import sweep as sweep_module
 from gapcert.specfile import LINEAR, InstanceSpec, ScheduleSpec, parse_instance
-from gapcert.spectral import DEGENERACY_RTOL, EigensolverError
+from gapcert.spectral import DEGENERACY_RTOL, MAX_GRID_POINTS, EigensolverError
 from gapcert.sweep import (
     CrossingPresent,
     GapProfile,
@@ -171,6 +171,8 @@ def test_default_level_count_clamps_to_dimension():
 def test_sweep_validation_errors():
     with pytest.raises(ValueError, match="two points"):
         gap_sweep(SEARCH_INSTANCE, grid_points=1)
+    with pytest.raises(ValueError, match=f"at most {MAX_GRID_POINTS} points"):
+        gap_sweep(SEARCH_INSTANCE, grid_points=MAX_GRID_POINTS + 1)
     with pytest.raises(ValueError, match="m_levels"):
         gap_sweep(SEARCH_INSTANCE, m_levels=3)  # d = 2
     h_i = HermitianMatrix(np.eye(2, dtype=complex))
