@@ -30,7 +30,9 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .certifier import CertificateReport, certify_pair
-from .paulialg import MAX_QUBITS, DiagonalSpec, HermitianMatrix, PauliExpression, ProjectorSpec
+from .paulialg import (
+    MAX_QUBITS, DiagonalSpec, HermitianMatrix, PauliExpression, ProjectorSpec, _max_abs
+)
 from .specfile import InstanceSpec
 
 # Each family and the coefficients of CaseParams it takes; every other
@@ -228,7 +230,7 @@ def weight_blocks(h: HermitianMatrix, n_qubits: int) -> list[WeightBlock]:
     # [h, W] for diagonal W has entries h_ab (w_b - w_a).
     commutator = h.entries * (weights[np.newaxis, :] - weights[:, np.newaxis])
     defect = float(np.max(np.abs(commutator)))
-    tol = WEIGHT_SYMMETRY_RTOL * (1.0 + float(np.max(np.abs(h.entries))))
+    tol = WEIGHT_SYMMETRY_RTOL * (1.0 + _max_abs(h.entries))
     if defect > tol:
         raise NotWeightSymmetric(
             f"operator does not conserve Hamming weight: max |[h, W]| = "

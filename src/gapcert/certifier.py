@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .paulialg import HermitianMatrix, _stored, diagonal_values
+from .paulialg import HermitianMatrix, _max_abs, _stored, diagonal_values
 from .spectral import GroundState, ground_state
 from .specfile import InstanceSpec
 
@@ -163,7 +163,7 @@ def check_condition2(h_i: HermitianMatrix, gauge: PhaseGauge) -> Condition2Resul
     bound of zero.  All violating entries are reported.
     """
     rotated = gauge.rotate(h_i)
-    tol = SIGN_RTOL * (1.0 + float(np.max(np.abs(h_i.entries))))
+    tol = SIGN_RTOL * (1.0 + _max_abs(h_i.entries))
     bad = rotated.real > tol
     if np.iscomplexobj(rotated):
         bad |= np.abs(rotated.imag) > tol

@@ -303,7 +303,7 @@ def diagonal_values(h_p, dim: int) -> np.ndarray:
     elif isinstance(h_p, HermitianMatrix) or np.ndim(h_p) == 2:
         entries = HermitianMatrix.of(h_p).entries
         worst = float(np.max(np.abs(entries - np.diag(np.diag(entries)))))
-        if worst > PATTERN_RTOL * (1.0 + float(np.max(np.abs(entries)))):
+        if worst > PATTERN_RTOL * (1.0 + _max_abs(entries)):
             raise ValueError(
                 f"h_p must be diagonal in the computational basis; found "
                 f"off-diagonal entry of magnitude {worst:.3e}"

@@ -129,7 +129,7 @@ def _nonnegative_pattern(f: np.ndarray):
     finite, its real part is below ``-tol`` or its imaginary part beyond
     ``tol``.  The entry is a ``(row, col)`` pair, or None if none offends.
     """
-    scale = float(np.max(np.abs(f))) if f.size else 0.0
+    scale = _max_abs(f) if f.size else 0.0
     tol = PATTERN_RTOL * (1.0 + scale)
     if math.isfinite(scale):
         bad = f.real < -tol

@@ -40,7 +40,7 @@ which does not depend on the basis the eigensolver picked in it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -59,33 +59,6 @@ CROSSING_RTOL = 1e-8
 # Where the gap's slope changes sign from - to + between two solved points,
 # its root (the reported location) is found to this absolute accuracy in s.
 REFINE_XATOL = 1e-12
-
-# Only the crossing refinement uses scipy.optimize, and importing it takes
-# about 0.55 s (the scipy.linalg package included), so it is imported on
-# first use, not with the module.  Its three names stay attributes of this
-# module, looked up here at call time: a caller may read or rebind
-# ``sweep.minimize_scalar`` (a tracer that wraps it) before any sweep has
-# run, and a rebound name is kept.
-_OPTIMIZE_NAMES = ("OptimizeResult", "brentq", "minimize_scalar")
-if TYPE_CHECKING:
-    from scipy.optimize import OptimizeResult, brentq, minimize_scalar
-
-
-def _bind_optimize() -> None:
-    """Bind scipy.optimize's names here, leaving any already bound as is."""
-    import scipy.optimize
-
-    for name in _OPTIMIZE_NAMES:
-        globals().setdefault(name, getattr(scipy.optimize, name))
-
-
-def __getattr__(name: str):
-    # PEP 562: reached only for a name the module does not hold yet
-    if name in _OPTIMIZE_NAMES:
-        _bind_optimize()
-        return globals()[name]
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
 
 class CrossingPresent(RuntimeError):
     """A runtime estimate was requested for a profile with crossings."""
@@ -166,46 +139,85 @@ def _hellmann_feynman(av, pv, vecs, da, db) -> tuple[np.ndarray, np.ndarray]:
 
 # Golden-section fraction: where a bounded search of a bracket probes first.
 _GOLDEN = 0.5 * (3.0 - 5.0**0.5)
+# The root search's relative tolerance: scipy's brentq default.
+_ROOT_RTOL = 4.0 * np.finfo(float).eps
 
 
-def _slope_at(s: float, evaluate) -> float:
-    """The gap's slope at ``s``, solved through ``evaluate``: ``brentq``'s
-    objective.  It is a module-level function and takes the sweep's state
-    as an argument, because scipy wraps the objective in a closure that
-    refers to itself: whatever the objective holds would then live on in
-    that reference cycle until the cyclic garbage collector ran."""
-    return evaluate((s,))[0][1]
+class _Refined(NamedTuple):
+    x: float  # where the refined minimum lies
+    fun: float  # its gap
+    nfev: int  # how many new points the refinement solved
 
 
-def _slope_guided(fun, args, bracket, bounds, known, xatol) -> OptimizeResult:
-    """``minimize_scalar`` method of the crossing refinement.
+def _slope_root(slope, xpre: float, fpre: float, xcur: float, fcur: float, xtol: float) -> float:
+    """A root of ``slope`` between ``xpre`` and ``xcur``, where its known
+    values ``fpre`` and ``fcur`` are nonzero and of opposite sign.
+
+    Brent's method (R. P. Brent, *Algorithms for Minimization Without
+    Derivatives*, 1973, ch. 4), ported step for step from scipy's ``brentq``
+    with its default ``rtol`` and 100 iterations: ``slope`` is called at
+    exactly the points scipy's calls after the two ends.
+    """
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(100):
+        if (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + _ROOT_RTOL * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        stry = None
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+        if stry is not None and 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+            spre, scur = scur, stry  # a good short step
+        else:
+            spre = scur = sbis  # bisect
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = slope(xcur)
+    return xcur
+
+
+def _slope_guided(fun, bracket, known) -> _Refined:
+    """The crossing refinement of one candidate.
 
     ``bracket`` lists two or three consecutive grid points and
     ``fun(points)`` returns ``(gap, slope)`` at each of a sequence of points,
     from one solve.  ``known`` maps every point solved so far, each bracket
     point included, to that pair; it grows in place, so a point shared with
     an earlier candidate is never solved twice and ``nfev`` counts new
-    points only.  ``bounds`` is unused.
+    points only.
 
     A grid step whose end slopes go (-, +) holds a minimum: the slope's
-    root is found there to ``xatol``, starting from the known end values.
-    Any other step first gets its two golden-section probes, solved
-    together, which is where a dip hidden inside it shows, and each of the
-    three pieces they leave whose end slopes go (-, +) is refined the same
-    way.  The result is the smallest gap evaluated strictly between the
-    bracket's grid points.
+    root is found there to ``REFINE_XATOL``, starting from the known end
+    values.  Any other step first gets its two golden-section probes,
+    solved together, which is where a dip hidden inside it shows, and each
+    of the three pieces they leave whose end slopes go (-, +) is refined
+    the same way.  The result is the smallest gap evaluated strictly
+    between the bracket's grid points.
     """
-    nfev = 0
+    solved = len(known)
     inside: list[float] = []
 
-    def evaluate(points: tuple[float, ...]) -> list[tuple[float, float]]:
-        nonlocal nfev
+    def evaluate(points: tuple[float, ...]) -> None:
         new = [s for s in points if s not in known]
         if new:
-            known.update(zip(new, fun(new, *args)))
-            nfev += len(new)
+            known.update(zip(new, fun(new)))
         inside.extend(s for s in points if s not in bracket)
-        return [known[s] for s in points]
+
+    def slope(s: float) -> float:
+        evaluate((s,))
+        return known[s][1]
 
     for lo, hi in zip(bracket, bracket[1:]):
         points: tuple[float, ...] = (lo, hi)
@@ -215,9 +227,14 @@ def _slope_guided(fun, args, bracket, bounds, known, xatol) -> OptimizeResult:
             points = (lo, *probes, hi)
         for left, right in zip(points, points[1:]):
             if known[left][1] < 0.0 < known[right][1]:
-                brentq(_slope_at, left, right, args=(evaluate,), xtol=xatol, disp=False)
+                _slope_root(slope, left, known[left][1], right, known[right][1], REFINE_XATOL)
     s_best = min(inside, key=lambda s: known[s][0])
-    return OptimizeResult(x=s_best, fun=known[s_best][0], nfev=nfev, success=True)
+    return _Refined(x=s_best, fun=known[s_best][0], nfev=len(known) - solved)
+
+
+# The name gapbench/spans.py traces the refinement by; its tracer rebinds
+# every attribute holding the function, the one sweep_pair calls included.
+minimize_scalar = _slope_guided
 
 
 def sweep_pair(
@@ -299,17 +316,11 @@ def sweep_pair(
     # each candidate's bracket and refined minimum, closing or not
     refined: list[CrossingInterval] = []
     known: dict[float, tuple[float, float]] = {}
-    _bind_optimize()
     for k in sorted(candidates):
         around = range(max(k - 1, 0), min(k + 2, grid_points))
         known.update((float(grid[j]), (float(gap1[j]), float(slopes[j]))) for j in around)
         bracket = tuple(float(grid[j]) for j in around)
-        result = minimize_scalar(
-            gaps_and_slopes,
-            bracket=bracket,
-            method=_slope_guided,
-            options={"known": known, "xatol": REFINE_XATOL},
-        )
+        result = _slope_guided(gaps_and_slopes, bracket, known)
         s_star, g_star = float(result.x), float(result.fun)
         if gap1[k] < g_star:  # keep the better of grid vs refined
             s_star, g_star = float(grid[k]), float(gap1[k])
@@ -431,14 +442,20 @@ def estimate_runtime(profile: GapProfile, target_epsilon: float = 0.1) -> Runtim
     )
 
 
+# CSV rows formatted at a time, so that no Python list holds the whole table
+_EXPORT_ROWS = 4096
+
+
 def export_profile(profile: GapProfile) -> str:
     """Render a profile as CSV: ``s,eps0,...,epsM,gap1``, one row per grid
     point, 17 significant digits (bit-exact round trip)."""
     m = profile.levels.shape[1]
-    rows = np.column_stack((profile.grid, profile.levels, profile.gap1)).tolist()
-    lines = ["s," + ",".join(f"eps{i}" for i in range(m)) + ",gap1"]
-    lines += [",".join(f"{x:.17g}" for x in row) for row in rows]
-    return "\n".join(lines) + "\n"
+    blocks = ["s," + ",".join(f"eps{i}" for i in range(m)) + ",gap1\n"]
+    for start in range(0, profile.grid.size, _EXPORT_ROWS):
+        rows = slice(start, start + _EXPORT_ROWS)
+        table = np.column_stack((profile.grid[rows], profile.levels[rows], profile.gap1[rows]))
+        blocks.append("".join(",".join(f"{x:.17g}" for x in row) + "\n" for row in table.tolist()))
+    return "".join(blocks)
 
 
 def summarize_profile(profile: GapProfile) -> str:

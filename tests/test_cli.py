@@ -481,10 +481,10 @@ def test_python_dash_m_runs_the_console_script(run, spec_file, module):
 # ---------------------------------------------------------------------------
 # cold start: a fresh interpreter imports only what the command runs
 
-# two scipy packages that only some commands use: the sweep's refinement
-# (scipy.optimize) and the decision of a graph (scipy.sparse); and the
-# scipy.linalg package, whose import loads numpy.f2py among much else: every
-# solve takes LAPACK from its compiled extension alone
+# scipy.sparse, which only the decision of a graph uses; scipy.optimize,
+# which no command uses (the sweep's refinement has its own root search);
+# and the scipy.linalg package, whose import loads numpy.f2py among much
+# else: every solve takes LAPACK from its compiled extension alone
 DEFERRED = ("scipy.optimize", "scipy.sparse", "scipy.linalg", "numpy.f2py")
 
 
@@ -506,11 +506,20 @@ def run_fresh(script, *args):
         "import gapcert.cli",
         "import gapcert.cli; gapcert.cli.main(['certify', sys.argv[1]])",
         "import gapcert.cli; assert gapcert.cli.main(['blocks', sys.argv[2]]) == 0",
+        # the counterexample's sweep refines its one crossing off-grid
+        "import gapcert.cli; "
+        "assert gapcert.cli.main(['sweep', sys.argv[3], '--format', 'structured']) == 0",
+        "import gapcert.cli; assert gapcert.cli.main(['estimate', sys.argv[3]]) == 1",
     ],
 )
 def test_a_cold_start_leaves_the_deferred_packages_unloaded(spec_file, statement):
     script = f"import sys; {statement}; print(sorted(set({DEFERRED!r}) & set(sys.modules)))"
-    out = run_fresh(script, spec_file(STOQUASTIC), spec_file(HOPPING, "hopping.spec"))
+    out = run_fresh(
+        script,
+        spec_file(STOQUASTIC),
+        spec_file(HOPPING, "hopping.spec"),
+        spec_file(COUNTEREXAMPLE, "ce.spec"),
+    )
     assert out.endswith("[]\n")
 
 
@@ -544,27 +553,6 @@ def test_a_missing_lapack_extension_fails_the_import_naming_the_directory(tmp_pa
     )
     out = run_fresh(script, str(tmp_path))
     assert out == f"no compiled scipy.linalg._flapack in {tmp_path / 'scipy' / 'linalg'}\n"
-
-
-def test_a_cold_sweep_imports_scipy_optimize_for_its_refinement(spec_file):
-    script = (
-        "import sys, gapcert.cli\n"
-        "assert gapcert.cli.main(['sweep', sys.argv[1], '--format', 'structured']) == 0\n"
-        "print('scipy.optimize' in sys.modules)\n"
-    )
-    out = run_fresh(script, spec_file(COUNTEREXAMPLE))
-    assert "crossings.count = 1\n" in out
-    assert out.endswith("True\n")
-
-
-def test_the_refinement_names_resolve_before_any_sweep():
-    script = (
-        "import scipy.optimize, gapcert.sweep as sweep\n"
-        "for name in ('OptimizeResult', 'brentq', 'minimize_scalar'):\n"
-        "    assert getattr(sweep, name) is getattr(scipy.optimize, name), name\n"
-        "print('ok')\n"
-    )
-    assert run_fresh(script) == "ok\n"
 
 
 def test_the_refinement_calls_the_minimizer_a_tracer_binds_before_any_sweep(spec_file):

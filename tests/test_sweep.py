@@ -14,7 +14,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from scipy.optimize import minimize_scalar
+from scipy.optimize import brentq, minimize_scalar
 
 from gapcert.cases import CaseParams, build_case
 from gapcert.paulialg import (
@@ -30,6 +30,7 @@ from gapcert import sweep as sweep_module
 from gapcert.specfile import LINEAR, InstanceSpec, ScheduleSpec, parse_instance
 from gapcert.spectral import DEGENERACY_RTOL, MAX_GRID_POINTS, EigensolverError
 from gapcert.sweep import (
+    REFINE_XATOL,
     CrossingPresent,
     GapProfile,
     MinGap,
@@ -385,17 +386,17 @@ def test_counterexample_crossing_located_to_refine_xatol():
 
 
 def test_a_refined_sweep_leaves_no_reference_cycle(monkeypatch):
-    # scipy's brentq wraps its objective in a closure that refers to itself;
-    # an objective that held the sweep's state would keep h_i alive in that
-    # cycle until the cyclic collector ran
+    # the refinement's closures hold the sweep's state, h_i included; with
+    # the cyclic collector off, h_i is freed with the sweep only if no
+    # reference cycle holds any of them
     root_finds = []
-    original = sweep_module.brentq
+    original = sweep_module._slope_root
 
     def counting(*args, **kwargs):
-        root_finds.append(args[1:3])
+        root_finds.append(args[1:5:2])
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(sweep_module, "brentq", counting)
+    monkeypatch.setattr(sweep_module, "_slope_root", counting)
     instance = parse_instance(COUNTEREXAMPLE_TEXT)
     gc.disable()
     try:
@@ -407,6 +408,35 @@ def test_a_refined_sweep_leaves_no_reference_cycle(monkeypatch):
         assert entries() is None
     finally:
         gc.enable()
+
+
+def test_the_root_search_probes_the_points_scipys_brentq_probes():
+    # seeded smooth functions with a sign change over brackets as wide as a
+    # grid step or a piece of one; scipy evaluates both ends first, which
+    # the port is given
+    rng = np.random.default_rng(18)
+    brackets = 0
+    while brackets < 500:
+        c = rng.normal(size=5)
+        w = rng.uniform(1.0, 40.0)
+
+        def f(x):
+            return c[0] + c[1] * x + c[2] * x * x + c[3] * math.sin(w * x + c[4])
+
+        lo = rng.uniform(0.0, 1.0)
+        hi = lo + rng.uniform(1e-4, 0.2)
+        f_lo, f_hi = f(lo), f(hi)
+        if not f_lo * f_hi < 0.0:
+            continue
+        brackets += 1
+        theirs, ours = [], []
+        root = brentq(lambda x: theirs.append(x) or f(x), lo, hi, xtol=REFINE_XATOL)
+        port = sweep_module._slope_root(
+            lambda x: ours.append(x) or f(x), lo, f_lo, hi, f_hi, REFINE_XATOL
+        )
+        assert theirs[:2] == [lo, hi]
+        assert ours == theirs[2:]
+        assert port == root
 
 
 def hidden_dip_instance():
@@ -776,6 +806,32 @@ def test_csv_schema_and_exact_round_trip():
         assert fields[1] == profile.levels[idx, 0]
         assert fields[2] == profile.levels[idx, 1]
         assert fields[3] == profile.gap1[idx]
+
+
+def test_csv_export_holds_a_block_of_rows_not_the_table():
+    # ten blocks of rows: formatted a block at a time, the export peaks at
+    # the text and its final join, not at a Python list per row
+    rows, m_levels = 40000, 4
+    rng = np.random.default_rng(5)
+    levels = np.sort(rng.normal(size=(rows, m_levels)), axis=1)
+    profile = GapProfile(
+        grid=np.linspace(0.0, 1.0 - 1.0 / rows, rows),
+        levels=levels,
+        gap1=levels[:, 1] - levels[:, 0],
+        min_gap=MinGap(1.0, 0.0),
+        crossings=(),
+        spectral_width=1.0,
+        schedule=LINEAR,
+        couplings=np.zeros((rows, m_levels - 1)),
+    )
+    tracemalloc.start()
+    try:
+        text = export_profile(profile)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert text.count("\n") == rows + 1
+    assert peak < 3 * len(text)
 
 
 def test_csv_and_svg_deterministic():
