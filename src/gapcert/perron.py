@@ -168,20 +168,63 @@ class PrimitivityCertificate:
         return self.n0 is not None
 
 
-def _digraph_period(graph) -> int:
-    # BFS levels from node 0; the period of a strongly connected digraph
-    # is the gcd of (level[u] + 1 - level[v]) over all edges u -> v.
-    from scipy.sparse.csgraph import shortest_path
+def _bfs_levels(pattern: np.ndarray, start: int, allowed: np.ndarray) -> np.ndarray:
+    """BFS levels from ``start`` along the edges ``u -> v`` where ``pattern[u, v]``,
+    through the ``allowed`` nodes only; -1 marks a node not reached."""
+    level = np.full(pattern.shape[0], -1, dtype=np.int64)
+    level[start] = 0
+    frontier = np.array([start])
+    depth = 0
+    while frontier.size:
+        depth += 1
+        frontier = np.flatnonzero(pattern[frontier].any(axis=0) & allowed & (level < 0))
+        level[frontier] = depth
+    return level
 
-    level = shortest_path(graph, unweighted=True, indices=0).astype(np.int64)
-    rows, cols = graph.nonzero()
-    return int(np.gcd.reduce(level[rows] + 1 - level[cols]))
+
+def _strong_components(pattern: np.ndarray) -> tuple[tuple[int, ...], ...]:
+    """The strongly connected components of ``pattern``, each sorted, in the
+    order of their smallest node.
+
+    Kosaraju's two passes.  A depth-first search along the edges lists the
+    nodes as they finish; a node is pushed when it is found and popped when
+    it has no unvisited successor left, so the search asks for a successor
+    at most twice per node.  Then, in reverse finishing order, each node not
+    yet assigned gathers its component as its backward reach through the
+    unassigned nodes.  Every node enters one search frontier in each pass,
+    so the whole costs O(d**2) however the components are chained.
+    """
+    d = pattern.shape[0]
+    unvisited = np.ones(d, dtype=bool)
+    finished = []
+    for root in range(d):
+        if not unvisited[root]:
+            continue
+        unvisited[root] = False
+        stack = [root]
+        while stack:
+            successors = pattern[stack[-1]] & unvisited
+            v = int(np.argmax(successors))
+            if successors[v]:
+                unvisited[v] = False
+                stack.append(v)
+            else:
+                finished.append(stack.pop())
+    unassigned = np.ones(d, dtype=bool)
+    blocks = []
+    for root in reversed(finished):
+        if unassigned[root]:
+            block = _bfs_levels(pattern.T, root, unassigned) >= 0
+            blocks.append(tuple(np.flatnonzero(block).tolist()))
+            unassigned &= ~block
+    return tuple(sorted(blocks))
 
 
 def _minimal_positive_power(pattern: np.ndarray) -> int:
     bound = wielandt_bound(pattern.shape[0])
-    # 0/1 entries and sums of at most d terms: float64 (BLAS) products are exact
-    base = pattern.astype(np.float64)
+    # 0/1 entries and sums of at most d terms, with d < 2**24 for any pattern
+    # that fits in memory: float32 (BLAS) products are exact
+    base = pattern.astype(np.float32)
     power = base
     exponent = 1
     while not power.all():
@@ -199,10 +242,14 @@ def primitivity(matrix) -> PrimitivityCertificate:
     """Decide primitivity of an entrywise-nonnegative matrix.
 
     The decision is purely graph-structural: strong connectivity plus
-    cycle-length gcd 1.  Boolean matrix powers are used only to report
-    the minimal exponent ``n0``, which always lands within the Wielandt
-    bound ``(d-1)**2 + 1``.  Raises ``ValueError`` for a negative, non-real
-    or non-finite entry.
+    cycle-length gcd 1.  The pattern is strongly connected when a BFS from
+    node 0 reaches every node both along its edges and against them; its
+    period is then the gcd of ``level[u] + 1 - level[v]`` over its edges
+    ``u -> v``, with ``level`` the forward BFS levels (a self-loop adds a
+    term of 1).  Boolean matrix powers are used only to report the minimal
+    exponent ``n0``, which always lands within the Wielandt bound
+    ``(d-1)**2 + 1``.  Raises ``ValueError`` for a negative, non-real or
+    non-finite entry.
     """
     entries = matrix.entries if isinstance(matrix, HermitianMatrix) else np.asarray(matrix)
     pattern, offending = _nonnegative_pattern(entries)
@@ -210,24 +257,16 @@ def primitivity(matrix) -> PrimitivityCertificate:
         raise ValueError("primitivity requires an entrywise-nonnegative matrix")
     d = pattern.shape[0]
 
-    if d == 1:
-        if pattern[0, 0]:
-            return PrimitivityCertificate(n0=1, period=1)
+    if d == 1 and not pattern[0, 0]:  # a lone node with no edge has no cycle
         return PrimitivityCertificate(reducible_blocks=((0,),))
 
-    # scipy.sparse is imported where the graph is decided, not with the
-    # module: with the scipy.linalg package it brings, it adds about 0.3 s
-    # to a cold start, and most commands never decide a graph
-    from scipy.sparse import csr_matrix
-    from scipy.sparse.csgraph import connected_components
+    everywhere = np.ones(d, dtype=bool)
+    level = _bfs_levels(pattern, 0, everywhere)
+    if level.min() < 0 or _bfs_levels(pattern.T, 0, everywhere).min() < 0:
+        return PrimitivityCertificate(reducible_blocks=_strong_components(pattern))
 
-    graph = csr_matrix(pattern)
-    n_components, labels = connected_components(graph, directed=True, connection="strong")
-    if n_components > 1:
-        blocks = sorted(tuple(np.flatnonzero(labels == c).tolist()) for c in range(n_components))
-        return PrimitivityCertificate(reducible_blocks=tuple(blocks))
-
-    period = _digraph_period(graph)
+    rows, cols = np.nonzero(pattern)
+    period = int(np.gcd.reduce(level[rows] + 1 - level[cols]))
     if period != 1:
         return PrimitivityCertificate(period=period)
     return PrimitivityCertificate(n0=_minimal_positive_power(pattern), period=1)

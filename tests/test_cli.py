@@ -481,10 +481,11 @@ def test_python_dash_m_runs_the_console_script(run, spec_file, module):
 # ---------------------------------------------------------------------------
 # cold start: a fresh interpreter imports only what the command runs
 
-# scipy.sparse, which only the decision of a graph uses; scipy.optimize,
-# which no command uses (the sweep's refinement has its own root search);
-# and the scipy.linalg package, whose import loads numpy.f2py among much
-# else: every solve takes LAPACK from its compiled extension alone
+# No command imports any of these: the proof chain decides its graph in
+# numpy (no scipy.sparse), the sweep's refinement has its own root search
+# (no scipy.optimize), and every solve takes LAPACK from its compiled
+# extension alone (no scipy.linalg package, whose import loads numpy.f2py
+# among much else)
 DEFERRED = ("scipy.optimize", "scipy.sparse", "scipy.linalg", "numpy.f2py")
 
 
@@ -510,6 +511,7 @@ def run_fresh(script, *args):
         "import gapcert.cli; "
         "assert gapcert.cli.main(['sweep', sys.argv[3], '--format', 'structured']) == 0",
         "import gapcert.cli; assert gapcert.cli.main(['estimate', sys.argv[3]]) == 1",
+        "import gapcert.cli; assert gapcert.cli.main(['verify-proof', sys.argv[1]]) == 0",
     ],
 )
 def test_a_cold_start_leaves_the_deferred_packages_unloaded(spec_file, statement):

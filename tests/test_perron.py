@@ -6,10 +6,13 @@ independent computation.
 """
 
 import re
+import time
 
 import numpy as np
 import pytest
 from conftest import patch_solver
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import connected_components, shortest_path
 from test_acceptance import certified_corpus
 from test_cli import THREE_QUBIT_COMPLEX
 
@@ -247,6 +250,73 @@ def test_period_matches_closed_walk_oracle():
         assert cert.is_primitive == (cert.period == 1)
         periods.add(cert.period)
     assert periods >= {1, 2, 3}
+
+
+def reference_primitivity(pattern):
+    """``(n0, period, reducible_blocks)`` from scipy's strong components, the
+    BFS levels of its shortest paths and the boolean-power oracle."""
+    graph = csr_matrix(pattern)
+    count, labels = connected_components(graph, directed=True, connection="strong")
+    if count > 1:
+        blocks = sorted(tuple(np.flatnonzero(labels == c).tolist()) for c in range(count))
+        return None, None, tuple(blocks)
+    level = shortest_path(graph, unweighted=True, indices=0).astype(np.int64)
+    rows, cols = graph.nonzero()
+    period = int(np.gcd.reduce(level[rows] + 1 - level[cols]))
+    if period != 1:
+        return None, period, None
+    return bool_power_exponent(pattern, wielandt_bound(pattern.shape[0])), 1, None
+
+
+def test_primitivity_matches_scipys_strong_components_on_random_digraphs():
+    rng = np.random.default_rng(20261020)
+    verdicts = {"primitive": 0, "periodic": 0, "reducible": 0}
+    for _ in range(2000):
+        d = int(rng.integers(2, 14))
+        pattern = rng.random((d, d)) < rng.choice([0.08, 0.2, 0.35, 0.6])
+        if rng.random() < 0.5:
+            np.fill_diagonal(pattern, False)
+        elif rng.random() < 0.5:
+            np.fill_diagonal(pattern, True)
+        if rng.random() < 0.25:  # symmetric, as every chain pattern is
+            pattern |= pattern.T
+        cert = primitivity(pattern.astype(float))
+        want = reference_primitivity(pattern)
+        assert (cert.n0, cert.period, cert.reducible_blocks) == want
+        verdicts["primitive" if cert.is_primitive else
+                 "periodic" if cert.period else "reducible"] += 1
+    assert min(verdicts.values()) >= 30, verdicts
+
+
+def test_primitivity_decides_large_reducible_patterns_quickly():
+    # the blocks are searched through the nodes not yet assigned, with no
+    # submatrix copied per block, and each node is searched from once per
+    # pass however the blocks are chained: 4,096 singletons, unlinked or
+    # on a directed path either way
+    d = 4096
+    path = np.zeros((d, d), dtype=np.float32)
+    path[np.arange(d - 1), np.arange(1, d)] = 1.0
+    for pattern in (np.eye(d, dtype=np.float32), path, path.T):
+        start = time.perf_counter()
+        cert = primitivity(pattern)
+        assert time.perf_counter() - start < 2.0
+        assert cert.reducible_blocks == tuple((k,) for k in range(d))
+
+    # a 10-cube with diagonal and without the edges of its last bit, its
+    # nodes relabelled: two 512-node halves, each primitive on its own
+    d = 1024
+    nodes = np.arange(d)
+    pattern = np.eye(d, dtype=bool)
+    for bit in range(9):
+        pattern[nodes, nodes ^ (1 << bit)] = True
+    order = np.random.default_rng(20261021).permutation(d)
+    pattern = pattern[np.ix_(order, order)]
+    start = time.perf_counter()
+    cert = primitivity(pattern.astype(np.float32))
+    assert time.perf_counter() - start < 2.0
+    halves = [tuple(np.flatnonzero(order < 512).tolist()),
+              tuple(np.flatnonzero(order >= 512).tolist())]
+    assert cert.reducible_blocks == tuple(sorted(halves))
 
 
 def test_entrywise_monotone_powers():
