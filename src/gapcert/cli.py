@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Subcommands: certify, sweep, case, blocks, estimate, verify-proof.
-Exit codes: 0 success / certified, 2 not certified, 1 any error.
+Exit codes: 0 success / certified, 2 not certified or a failed proof-chain
+check, 1 any error.
 """
 
 from __future__ import annotations
@@ -219,7 +220,7 @@ def _cmd_verify_proof(args) -> int:
         return 2
     chain = verify_proof_chain(instance, report.gauge, grid)
     _write_output(render_chain_text(chain), args.out)
-    return 0 if chain.passed else 1
+    return 0 if chain.passed else 2
 
 
 @functools.cache

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -103,29 +104,44 @@ class ScheduleSpec:
         if b[0] != 0.0 or b[-1] != 1.0 or any(y < x for x, y in zip(b, b[1:])):
             raise ValueError("coefficient b must increase monotonically from 0 to 1")
 
-    def _columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The tabulated samples' t/T, a and b, as three arrays."""
-        ts, a, b = zip(*self.samples)
-        return np.array(ts), np.array(a), np.array(b)
+    @cached_property
+    def _columns(self) -> tuple[np.ndarray, ...]:
+        """The tabulated samples' t/T, a and b, then each segment's da/dt
+        and db/dt, as read-only arrays built on first use."""
+        ts, a, b = (np.array(column) for column in zip(*self.samples))
+        dt = np.diff(ts)
+        columns = (ts, a, b, np.diff(a) / dt, np.diff(b) / dt)
+        for column in columns:
+            column.flags.writeable = False
+        return columns
+
+    @property
+    def knots(self) -> tuple[float, ...]:
+        """The interior sample times, where a' and b' may jump; none for
+        ``linear``."""
+        if self.kind == "linear":
+            return ()
+        return tuple(t for t, _, _ in self.samples[1:-1])
 
     def coefficients(self, tau) -> tuple[np.ndarray, np.ndarray]:
         """Evaluate (a, b) at scaled times ``tau`` in [0, 1]."""
         tau = np.asarray(tau, dtype=float)
         if self.kind == "linear":
             return 1.0 - tau, tau.copy()
-        ts, a, b = self._columns()
+        ts, a, b, _, _ = self._columns
         return np.interp(tau, ts, a), np.interp(tau, ts, b)
 
-    def slopes(self, tau) -> tuple[np.ndarray, np.ndarray]:
+    def slopes(self, tau, side: str = "right") -> tuple[np.ndarray, np.ndarray]:
         """Derivatives (da/dt, db/dt) at scaled times ``tau`` in [0, 1): at a
-        sample time, those of the segment that starts there."""
+        sample time, those of the segment that starts there, or with
+        ``side="left"`` of the segment that ends there (at t/T = 0, of the
+        first segment either way)."""
         tau = np.asarray(tau, dtype=float)
         if self.kind == "linear":
             return np.full(tau.shape, -1.0), np.full(tau.shape, 1.0)
-        ts, a, b = self._columns()
-        segment = np.clip(np.searchsorted(ts, tau, side="right") - 1, 0, ts.size - 2)
-        dt = np.diff(ts)
-        return (np.diff(a) / dt)[segment], (np.diff(b) / dt)[segment]
+        ts, _, _, da, db = self._columns
+        segment = np.clip(np.searchsorted(ts, tau, side=side) - 1, 0, ts.size - 2)
+        return da[segment], db[segment]
 
 
 LINEAR = ScheduleSpec("linear")

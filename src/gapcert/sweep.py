@@ -22,12 +22,18 @@ Every solve also yields, for almost nothing, one block of Hellmann--Feynman
 matrix elements ``<psi_k| dH/ds |psi_j>`` (j = 0, 1) from its checked
 eigenvectors, with ``dH/ds = a' h_i + b' diag(h_p)`` at the schedule's
 one-sided slopes; it reuses the solve's products ``h_i @ V`` and
-``diag(h_p) @ V``.  Its diagonal gives the gap's slope, which guides the
-refinement: where the slopes at the two ends of a grid step go (-, +),
-the slope's root is found there to ``REFINE_XATOL``; any other step is
-probed at its two golden-section points first, where a dip hidden inside
-it shows.  Its first column, ``<psi_k| dH/ds |psi_0>`` for k >= 1, is
-kept at every grid point as the profile's ``couplings``.
+``diag(h_p) @ V``.  Its diagonal gives the gap's slope, and the gap times
+its slope, ``q = d(gap**2)/ds / 2``, guides the refinement.  ``q`` has the
+slope's sign, but where two levels cross or nearly cross, ``gap**2`` is
+smooth and the gap is not, so ``q`` has a simple root at the minimum.
+Where ``q`` at the two ends of a grid step goes (-, +), its root is found
+there to ``REFINE_XATOL``.  A step that holds interior sample times of a
+tabulated schedule (knots, where the slope jumps) is probed at those, with
+one-sided slopes on each side; any other step is probed at its two
+golden-section points first, where a dip hidden inside it shows.  A step
+whose gap is exactly 0 at an end is not searched.  The block's first
+column, ``<psi_k| dH/ds |psi_0>`` for k >= 1, is kept at every grid point
+as the profile's ``couplings``.
 
 ``estimate_runtime`` turns a crossing-free profile into the standard
 worst-case adiabatic ratio ``max |<psi_m| dH |psi_0>| / gap_m**2`` over
@@ -57,7 +63,8 @@ from .spectral import (
 # A refined gap minimum below CROSSING_RTOL * (1 + spectral width) is a crossing.
 CROSSING_RTOL = 1e-8
 # Where the gap's slope changes sign from - to + between two solved points,
-# its root (the reported location) is found to this absolute accuracy in s.
+# the root of gap * slope (the reported location) is found to this absolute
+# accuracy in s.
 REFINE_XATOL = 1e-12
 
 class CrossingPresent(RuntimeError):
@@ -116,8 +123,7 @@ class GapProfile:
 
 
 def _schedule_max_slopes(schedule: ScheduleSpec) -> tuple[float, float]:
-    starts = [0.0] if schedule.kind == "linear" else [t for t, _, _ in schedule.samples[:-1]]
-    da, db = schedule.slopes(starts)
+    da, db = schedule.slopes([0.0, *schedule.knots])
     return float(np.max(np.abs(da))), float(np.max(np.abs(db)))
 
 
@@ -188,23 +194,31 @@ def _slope_root(slope, xpre: float, fpre: float, xcur: float, fcur: float, xtol:
     return xcur
 
 
-def _slope_guided(fun, bracket, known) -> _Refined:
+def _slope_guided(fun, bracket, known, knots=()) -> _Refined:
     """The crossing refinement of one candidate.
 
     ``bracket`` lists two or three consecutive grid points and
-    ``fun(points)`` returns ``(gap, slope)`` at each of a sequence of points,
-    from one solve.  ``known`` maps every point solved so far, each bracket
-    point included, to that pair; it grows in place, so a point shared with
-    an earlier candidate is never solved twice and ``nfev`` counts new
-    points only.
+    ``fun(points)`` returns ``(gap, left slope, right slope)`` at each of a
+    sequence of points, from one solve; the two slopes differ only at a
+    ``knot``, an interior sample time of a tabulated schedule, where the
+    schedule's own slopes jump.  ``known`` maps every point solved so far,
+    each bracket point included, to that triple; it grows in place, so a
+    point shared with an earlier candidate is never solved twice and
+    ``nfev`` counts new points only.
 
-    A grid step whose end slopes go (-, +) holds a minimum: the slope's
-    root is found there to ``REFINE_XATOL``, starting from the known end
-    values.  Any other step first gets its two golden-section probes,
-    solved together, which is where a dip hidden inside it shows, and each
-    of the three pieces they leave whose end slopes go (-, +) is refined
-    the same way.  The result is the smallest gap evaluated strictly
-    between the bracket's grid points.
+    The search runs on ``q = gap * slope = d(gap**2)/ds / 2``, which has
+    the slope's sign wherever the gap is positive.  Near two levels that
+    cross or nearly cross, ``gap**2`` is smooth where the gap itself has a
+    kink, so ``q`` has a simple root at the minimum either way.  A grid
+    step whose end values of ``q`` go (-, +) holds a minimum: the root of
+    ``q`` is found there to ``REFINE_XATOL``, starting from the known end
+    values.  A step that holds knots gets them as its probes; any other
+    step first gets its two golden-section probes, solved together, which
+    is where a dip hidden inside it shows.  Each piece the probes leave
+    whose end values go (-, +) is refined the same way.  A step with a
+    zero gap at an end gets no search: that end is its minimum.  The
+    result is the smallest gap evaluated strictly between the bracket's
+    grid points, or at the best of them when nothing there was solved.
     """
     solved = len(known)
     inside: list[float] = []
@@ -215,20 +229,32 @@ def _slope_guided(fun, bracket, known) -> _Refined:
             known.update(zip(new, fun(new)))
         inside.extend(s for s in points if s not in bracket)
 
-    def slope(s: float) -> float:
+    def rising(s: float) -> float:  # q at a known point, right-hand slope
+        gap, _, slope = known[s]
+        return gap * slope
+
+    def falling(s: float) -> float:  # q at a known point, left-hand slope
+        gap, slope, _ = known[s]
+        return gap * slope
+
+    def rate(s: float) -> float:
         evaluate((s,))
-        return known[s][1]
+        return rising(s)
 
     for lo, hi in zip(bracket, bracket[1:]):
-        points: tuple[float, ...] = (lo, hi)
-        if not known[lo][1] < 0.0 < known[hi][1]:
-            probes = (lo + _GOLDEN * (hi - lo), hi - _GOLDEN * (hi - lo))
-            evaluate(probes)
-            points = (lo, *probes, hi)
+        points: tuple[float, ...] = tuple(t for t in knots if lo < t < hi)
+        if points:
+            evaluate(points)
+        elif known[lo][0] == 0.0 or known[hi][0] == 0.0:
+            continue
+        elif not rising(lo) < 0.0 < falling(hi):
+            points = (lo + _GOLDEN * (hi - lo), hi - _GOLDEN * (hi - lo))
+            evaluate(points)
+        points = (lo, *points, hi)
         for left, right in zip(points, points[1:]):
-            if known[left][1] < 0.0 < known[right][1]:
-                _slope_root(slope, left, known[left][1], right, known[right][1], REFINE_XATOL)
-    s_best = min(inside, key=lambda s: known[s][0])
+            if rising(left) < 0.0 < falling(right):
+                _slope_root(rate, left, rising(left), right, falling(right), REFINE_XATOL)
+    s_best = min(inside or bracket, key=lambda s: known[s][0])
     return _Refined(x=s_best, fun=known[s_best][0], nfev=len(known) - solved)
 
 
@@ -270,15 +296,26 @@ def sweep_pair(
     # the size of each operator's entries is at most a * |A| + b * |hp|
     max_a, max_hp = _max_abs(A), float(np.max(np.abs(hp)))
 
-    def solve(points: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    knots = schedule.knots
+
+    def solve(points: np.ndarray, m: int) -> tuple[np.ndarray, ...]:
         # The one solve of the sweep, at grid and refinement points alike:
         # the pencil's checked pairs, then the Hellmann--Feynman block,
         # which reuses its products of h_i and of diag(hp) with the vectors.
+        # Its gap slope is the right-hand one; at a knot the schedule's
+        # slopes jump, and the left-hand slope takes a second block there.
         a, b = schedule.coefficients(points)
         values, vecs, av, pv = pencil_pairs(
             A, hp, a, b, m, points, a * max_a + b * max_hp, operator
         )
-        return values, *_hellmann_feynman(av, pv, vecs, *schedule.slopes(points))
+        rises, couplings = _hellmann_feynman(av, pv, vecs, *schedule.slopes(points))
+        falls = rises
+        if knots and (at := np.isin(points, knots)).any():
+            falls = rises.copy()
+            falls[at] = _hellmann_feynman(
+                av[at], pv[at], vecs[at], *schedule.slopes(points[at], side="left")
+            )[0]
+        return values, falls, rises, couplings
 
     per_chunk = max(1, CHUNK_BYTES // (d * m_levels * A.itemsize))
     chunks = [
@@ -286,14 +323,14 @@ def sweep_pair(
         for start in range(0, grid_points, per_chunk)
     ]
     # the couplings' dtype is the solved eigenvectors' own
-    levels, slopes, couplings = (np.concatenate(parts) for parts in zip(*chunks))
+    levels, falls, rises, couplings = (np.concatenate(parts) for parts in zip(*chunks))
     gap1 = levels[:, 1] - levels[:, 0]
     width = float(levels.max() - levels.min())
     tolerance = CROSSING_RTOL * (1.0 + width)
 
-    def gaps_and_slopes(points: list[float]) -> list[tuple[float, float]]:
-        w, slope, _ = solve(np.array(points), 2)
-        return list(zip((w[:, 1] - w[:, 0]).tolist(), slope.tolist()))
+    def gaps_and_slopes(points: list[float]) -> list[tuple[float, float, float]]:
+        w, left, right, _ = solve(np.array(points), 2)
+        return list(zip((w[:, 1] - w[:, 0]).tolist(), left.tolist(), right.tolist()))
 
     # Any true closing between grid points leaves a local minimum whose
     # grid value is at most (gap slope) * (grid step); only those need a
@@ -315,12 +352,14 @@ def sweep_pair(
 
     # each candidate's bracket and refined minimum, closing or not
     refined: list[CrossingInterval] = []
-    known: dict[float, tuple[float, float]] = {}
+    known: dict[float, tuple[float, float, float]] = {}
     for k in sorted(candidates):
         around = range(max(k - 1, 0), min(k + 2, grid_points))
-        known.update((float(grid[j]), (float(gap1[j]), float(slopes[j]))) for j in around)
+        known.update(
+            (float(grid[j]), (float(gap1[j]), float(falls[j]), float(rises[j]))) for j in around
+        )
         bracket = tuple(float(grid[j]) for j in around)
-        result = _slope_guided(gaps_and_slopes, bracket, known)
+        result = _slope_guided(gaps_and_slopes, bracket, known, knots)
         s_star, g_star = float(result.x), float(result.fun)
         if gap1[k] < g_star:  # keep the better of grid vs refined
             s_star, g_star = float(grid[k]), float(gap1[k])

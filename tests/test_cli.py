@@ -357,6 +357,20 @@ def test_verify_proof_uncertified_report_goes_to_out_file(run, spec_file, tmp_pa
     assert "proof chain not run" in err
 
 
+def test_a_failed_chain_check_exits_2_and_a_parse_error_exits_1(run, spec_file, tmp_path):
+    # README's "Numerical resolution" instance: certified, but its Perron
+    # components near s = 1 fall below what float64 resolves
+    target = str(tmp_path / "b8.txt")
+    ai = "-0.3,-0.35,-0.4,-0.45,-0.5,-0.55,-0.6,-0.65"
+    assert run("case", "bit_rotation", "--n", "8", "--ai", ai, "--out", target)[0] == 0
+    code, out, _ = run("verify-proof", target, "--grid", "21")
+    assert code == 2
+    assert "1 of 21 samples failed:\n  s = 0.952381: largest eigenvalue not simple/positive\n" in out
+    code, out, err = run("verify-proof", spec_file("qubits = 1\n[Hi]\nterms = -1 Q\n"))
+    assert code == 1
+    assert out == "" and err.startswith("error:")
+
+
 @pytest.mark.parametrize("points", ["0", "-3"])
 def test_verify_proof_rejects_an_empty_grid(run, spec_file, points):
     code, out, err = run("verify-proof", spec_file(STOQUASTIC), "--grid", points)

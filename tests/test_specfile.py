@@ -213,6 +213,21 @@ def test_schedule_spec_direct_validation():
     assert float(a) == 0.5 and float(b) == 0.5
 
 
+def test_schedule_knots_and_one_sided_slopes():
+    assert LINEAR.knots == ()
+    assert [x.tolist() for x in LINEAR.slopes([0.0, 0.5], side="left")] == [[-1.0] * 2, [1.0] * 2]
+    spec = ScheduleSpec("tabulated", ((0.0, 1.0, 0.0), (0.25, 0.5, 0.25), (1.0, 0.0, 1.0)))
+    assert spec.knots == (0.25,)
+    tau = [0.0, 0.1, 0.25, 0.6]
+    right, left = spec.slopes(tau), spec.slopes(tau, side="left")
+    assert [x.tolist() for x in right] == [[-2.0, -2.0, -0.5 / 0.75, -0.5 / 0.75], [1.0, 1.0, 1.0, 1.0]]
+    # only at the knot does the left-hand slope differ: it is the first segment's
+    assert [x.tolist() for x in left] == [[-2.0, -2.0, -2.0, -0.5 / 0.75], [1.0, 1.0, 1.0, 1.0]]
+    # the sample columns are built once and shared by every evaluation
+    assert spec._columns is spec._columns
+    assert not spec._columns[0].flags.writeable
+
+
 # ---------------------------------------------------------------------------
 # the norm-bound limit
 

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq, minimize_scalar
 
-from gapcert.cases import CaseParams, build_case
+from gapcert.cases import CaseParams, build_case, weight_blocks
 from gapcert.paulialg import (
     DiagonalSpec,
     HermitianMatrix,
@@ -479,6 +479,83 @@ def test_refinement_finds_a_dip_hidden_inside_the_last_step():
     assert abs(profile.min_gap.value - reference.fun) <= 1e-10 * (1.0 + profile.spectral_width)
     assert grid[-2] < profile.min_gap.s < grid[-1]
     assert not profile.crossings
+
+
+def refinements(monkeypatch):
+    """Every candidate's bracket and refinement result, in order."""
+    log = []
+    refine = sweep_module._slope_guided
+
+    def recording(fun, bracket, known, *args):
+        result = refine(fun, bracket, known, *args)
+        log.append((bracket, result))
+        return result
+
+    monkeypatch.setattr(sweep_module, "_slope_guided", recording)
+    return log
+
+
+@pytest.mark.parametrize("points", [101, 1001])
+def test_the_counterexample_crossing_takes_at_most_8_solves(points, monkeypatch):
+    # the gap has a kink at s = 1/2; (gap**2)' / 2 has a simple root there
+    log = refinements(monkeypatch)
+    profile = gap_sweep(parse_instance(COUNTEREXAMPLE_TEXT), grid_points=points)
+    (crossing,) = profile.crossings
+    (result,) = [r for bracket, r in log if bracket[0] < 0.5 < bracket[-1]]
+    assert result.nfev <= 8
+    assert abs(crossing.s_star - 0.5) <= 1e-13
+
+
+def test_hopping_crossings_are_crossings_of_two_weight_blocks(monkeypatch):
+    log = refinements(monkeypatch)
+    instance = build_case(CaseParams("xy_hopping", 4))
+    profile = gap_sweep(instance, grid_points=101)
+    hp = np.array(instance.h_p.values)
+    blocks = [
+        (block.block_matrix.entries, hp[list(block.basis_indices)])
+        for block in weight_blocks(instance.h_i_matrix(), 4)
+    ]
+
+    def block_grounds(s):
+        return [np.linalg.eigvalsh((1.0 - s) * h + np.diag(s * p))[0] for h, p in blocks]
+
+    assert len(profile.crossings) == 2
+    nfev = {(bracket[0], bracket[-1]): r.nfev for bracket, r in log}
+    for crossing in profile.crossings:
+        # the two sectors whose ground levels meet there
+        first, second = np.argsort(block_grounds(crossing.s_star))[:2]
+        root = brentq(
+            lambda s: block_grounds(s)[first] - block_grounds(s)[second],
+            crossing.s_lo, crossing.s_hi, xtol=1e-15,
+        )
+        assert abs(crossing.s_star - root) <= 1e-11
+        assert nfev[crossing.s_lo, crossing.s_hi] <= 8
+
+
+def test_a_minimum_at_a_schedule_sample_is_that_sample(monkeypatch):
+    # a + b falls to 0.8 at t = 0.37 and rises after it, where b / (a + b)
+    # passes 1/2: the gap's one-sided slopes there are (-, +)
+    log = refinements(monkeypatch)
+    knot = 0.37
+    schedule = ScheduleSpec("tabulated", ((0.0, 1.0, 0.0), (knot, 0.4, 0.4), (1.0, 0.0, 1.0)))
+    assert schedule.knots == (knot,)
+    instance = replace(SEARCH_INSTANCE, schedule=schedule)
+    profile = schedule_sweep(instance, grid_points=41)
+    assert knot not in profile.grid
+    assert profile.min_gap.s == knot
+    w = np.linalg.eigvalsh(instance.h_i_matrix().entries * 0.4 + np.diag([0.0, 0.4]))
+    assert abs(profile.min_gap.value - (w[1] - w[0])) <= 1e-12 * (1.0 + profile.spectral_width)
+    assert sum(r.nfev for _, r in log) <= 3
+
+
+def test_a_zero_gap_end_makes_no_search_solve(monkeypatch):
+    # the hopping ground level is degenerate at s = 0, where the gap is 0
+    log = refinements(monkeypatch)
+    profile = gap_sweep(build_case(CaseParams("xy_hopping", 3)), grid_points=101)
+    assert profile.gap1[0] == 0.0
+    (result,) = [r for bracket, r in log if bracket[0] == 0.0]
+    assert result.nfev == 0 and (result.x, result.fun) == (0.0, 0.0)
+    assert profile.crossings[0].s_star == 0.0
 
 
 SLOPE_CASES = {
