@@ -16,8 +16,8 @@ from gapcert import (
     build_case,
     certify,
     export_svg,
-    gap_sweep,
     render_text,
+    schedule_sweep,
     summarize_profile,
 )
 
@@ -30,7 +30,7 @@ def main():
     print(render_text(report))
 
     print("sweeping 1001 grid points...")
-    profile = gap_sweep(instance, grid_points=1001)
+    profile = schedule_sweep(instance, grid_points=1001)
     print(summarize_profile(profile))
     for c in profile.crossings:
         print(

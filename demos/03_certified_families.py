@@ -14,7 +14,7 @@ from gapcert import (
     certify,
     certify_block,
     block_pair,
-    gap_sweep,
+    schedule_sweep,
     sweep_pair,
     weight_blocks,
 )
@@ -27,7 +27,7 @@ def certify_plain(params):
     h_p = DiagonalSpec.from_values(params.n_qubits, rng.uniform(0, 10, size=d))
     instance = build_case(params, h_p)
     report = certify(instance)
-    profile = gap_sweep(instance, grid_points=501)
+    profile = schedule_sweep(instance, grid_points=501)
     print(
         f"{params.family:22s} n={params.n_qubits}  verdict={report.overall:13s} "
         f"min_gap={profile.min_gap.value:.4f} at s={profile.min_gap.s:.3f}  "

@@ -18,7 +18,6 @@ from gapcert import (
     ScheduleSpec,
     estimate_runtime,
     export_profile,
-    gap_sweep,
     schedule_sweep,
     summarize_profile,
 )
@@ -30,7 +29,7 @@ def main():
         1, ProjectorSpec.uniform(1), DiagonalSpec.from_values(1, [0.0, 1.0])
     )
 
-    linear = gap_sweep(instance, grid_points=501)
+    linear = schedule_sweep(instance, grid_points=501)
     print("linear path:   ", summarize_profile(linear))
 
     slow_middle = ScheduleSpec(

@@ -77,7 +77,6 @@ from .cases import (
     default_h_p,
     ground_state_reference,
     weight_blocks,
-    weight_operator,
 )
 from .sweep import (
     CrossingPresent,
@@ -86,7 +85,6 @@ from .sweep import (
     estimate_runtime,
     export_profile,
     export_svg,
-    gap_sweep,
     schedule_sweep,
     summarize_profile,
     sweep_pair,
@@ -110,8 +108,8 @@ __all__ = [
     "verify_proof_chain", "verify_proof_chain_pair", "wielandt_bound",
     "FAMILIES", "CaseParams", "NotWeightSymmetric", "WeightBlock",
     "block_pair", "build_case", "case_h_i", "certify_block", "default_h_p",
-    "ground_state_reference", "weight_blocks", "weight_operator",
+    "ground_state_reference", "weight_blocks",
     "CrossingPresent", "GapProfile", "RuntimeEstimate", "estimate_runtime",
-    "export_profile", "export_svg", "gap_sweep", "schedule_sweep",
+    "export_profile", "export_svg", "schedule_sweep",
     "summarize_profile", "sweep_pair",
 ]

@@ -213,11 +213,6 @@ class WeightBlock:
     block_matrix: HermitianMatrix
 
 
-def weight_operator(n_qubits: int) -> np.ndarray:
-    """Diagonal of the Hamming-weight counter sum_i (I - Z_i) / 2."""
-    return np.array([bin(z).count("1") for z in range(1 << n_qubits)], dtype=float)
-
-
 def weight_blocks(h: HermitianMatrix, n_qubits: int) -> list[WeightBlock]:
     """Split an operator into fixed-weight blocks.
 
@@ -226,7 +221,8 @@ def weight_blocks(h: HermitianMatrix, n_qubits: int) -> list[WeightBlock]:
     """
     if h.dim != 1 << n_qubits:
         raise ValueError(f"matrix dimension {h.dim} does not match 2**{n_qubits}")
-    weights = weight_operator(n_qubits)
+    # the diagonal of the Hamming-weight counter W = sum_i (I - Z_i) / 2
+    weights = np.array([bin(z).count("1") for z in range(1 << n_qubits)], dtype=float)
     # [h, W] for diagonal W has entries h_ab (w_b - w_a).
     commutator = h.entries * (weights[np.newaxis, :] - weights[:, np.newaxis])
     defect = float(np.max(np.abs(commutator)))

@@ -12,6 +12,7 @@ operator and optionally an interpolation schedule::
     [schedule]
     kind = linear
 
+Each section declares one operator, and ``[schedule]`` one kind.
 ``[Hi]`` accepts exactly one of ``terms = <coef> <STRING>, ...`` (or
 ``terms = none`` for the zero operator), ``diagonal = <reals>``, or the
 bare word ``projector-uniform``.  ``[Hp]`` accepts ``diagonal = <reals>``
@@ -20,6 +21,13 @@ or a bare ``costfn`` marker followed by ``<bitstring> <value>`` lines
 ``kind = linear`` or ``kind = tabulated`` followed by ``sample = t, a, b``
 lines; it may be omitted entirely, defaulting to linear.  Comment lines
 start with ``#``; whitespace around ``=`` and ``,`` is ignored.
+
+Malformed text raises :class:`ParseError` for the first offending line in
+file order, with its 1-based line and column; a section that declares no
+operator is reported at its header.  Only what the whole file lacks (the
+``qubits`` line, an absent ``[Hi]`` or ``[Hp]``) or the pair breaks
+together (the norm bound) has no position.  The command line prints it as
+one ``error: line L, column C: ...`` line and exits 1.
 
 Serialization is canonical: Pauli terms are sorted lexicographically with
 duplicate strings merged, and a cost table is emitted as its equivalent
@@ -46,8 +54,6 @@ from .paulialg import (
     norm_bound,
     to_matrix,
 )
-
-_SECTIONS = ("Hi", "Hp", "schedule")
 
 
 class ParseError(ValueError):
@@ -261,21 +267,69 @@ def _parse_reals(payload: str, line_no: int, col0: int) -> list[float]:
     return values
 
 
+# Per section: the hint after an unknown key, then the refusal of a second
+# declaration, of a section that declares nothing and of an absent section
+# (an absent [schedule] is linear).
+_SECTIONS = {
+    "Hi": ("; expected 'terms', 'diagonal' or a bare 'projector-uniform'",
+           "section [Hi] already has an operator", "section [Hi] declares no operator",
+           "missing [Hi] section with an operator"),
+    "Hp": ("; expected 'diagonal' or a 'costfn' table",
+           "section [Hp] already has an operator", "section [Hp] declares no operator",
+           "missing [Hp] section"),
+    "schedule": ("", "duplicate 'kind' in [schedule]",
+                 "section [schedule] needs a 'kind' line", None),
+}
+
+# The line forms that declare a section's one operator (or its one kind), as
+# (section, word, keyed): keyed is 'word = payload', bare is the word alone.
+_DECLARING = frozenset({
+    ("Hi", "terms", True), ("Hi", "diagonal", True), ("Hi", "projector-uniform", False),
+    ("Hp", "diagonal", True), ("Hp", "costfn", False), ("schedule", "kind", True),
+})
+
+
+def _parse_qubits(word: str, payload: str, n_qubits: int | None, line_no: int,
+                  col0: int) -> int:
+    """The ``qubits = <n>`` line, the one key allowed before any section."""
+    if word != "qubits":
+        raise ParseError(f"unexpected key {word!r} before any section "
+                         "(only 'qubits' may appear here)", line_no, 1)
+    if n_qubits is not None:
+        raise ParseError("duplicate 'qubits' declaration", line_no, 1)
+    token = payload.strip()
+    try:
+        n_qubits = int(token)
+    except ValueError:
+        raise ParseError(f"bad qubit count {token!r}", line_no, col0 + 1) from None
+    if not 1 <= n_qubits <= MAX_QUBITS:
+        raise ParseError(f"qubit count must lie in 1..{MAX_QUBITS}", line_no, col0 + 1)
+    return n_qubits
+
+
+def _parse_diagonal(section: str, payload: str, n_qubits: int, line_no: int,
+                    col0: int) -> DiagonalSpec:
+    """A ``diagonal = <reals>`` payload of [Hi] or [Hp]: 2**n finite values."""
+    values = _parse_reals(payload, line_no, col0)
+    if len(values) != 1 << n_qubits:
+        raise ParseError(f"[{section}] diagonal has {len(values)} values, expected "
+                         f"2**{n_qubits} = {1 << n_qubits}", line_no, col0 + 1)
+    return DiagonalSpec.from_values(n_qubits, values)
+
+
 def parse_instance(source) -> InstanceSpec:
     """Parse instance text (a string or readable file object).
 
-    Raises :class:`ParseError` with line/column on malformed input.
+    Raises :class:`ParseError` with line/column on malformed input: the
+    first offending line in file order is the one reported.
     """
     text = source.read() if hasattr(source, "read") else source
     n_qubits = None
     section = None
-    section_lines: dict[str, int] = {}
-    h_i = None
-    hp_values: list[float] | None = None
-    cost_table: dict[int, float] | None = None
-    cost_seen: dict[str, int] = {}
-    schedule_kind = None
-    schedule_samples: list[tuple[float, float, float]] = []
+    headers: dict[str, int] = {}  # section -> line of its header
+    # section -> its one declaration: an operator, LINEAR, or what later
+    # lines fill in (a costfn table {bits: (line, value)}, a sample list)
+    declared: dict[str, object] = {}
 
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -283,213 +337,99 @@ def parse_instance(source) -> InstanceSpec:
             continue
 
         if line.startswith("[") and line.endswith("]"):
-            name = line[1:-1]
-            if name not in _SECTIONS:
-                raise ParseError(
-                    f"unknown section [{name}]; expected one of "
-                    + ", ".join(f"[{s}]" for s in _SECTIONS),
-                    line_no,
-                    raw.index("[") + 1,
-                )
-            if name in section_lines:
-                raise ParseError(f"duplicate section [{name}]", line_no, 1)
+            section = line[1:-1]
+            if section not in _SECTIONS:
+                raise ParseError(f"unknown section [{section}]; expected one of "
+                                 + ", ".join(f"[{s}]" for s in _SECTIONS),
+                                 line_no, raw.index("[") + 1)
+            if section in headers:
+                raise ParseError(f"duplicate section [{section}]", line_no, 1)
             if n_qubits is None:
-                raise ParseError(
-                    "'qubits = <n>' must appear before any section", line_no, 1
-                )
-            section_lines[name] = line_no
-            section = name
+                raise ParseError("'qubits = <n>' must appear before any section", line_no, 1)
+            headers[section] = line_no
             continue
 
-        if "=" in line:
-            key, _, payload = raw.partition("=")
-            key_name = key.strip()
-            col0 = len(key) + 1  # 0-based offset of payload within raw
-            if section is None:
-                if key_name != "qubits":
-                    raise ParseError(
-                        f"unexpected key {key_name!r} before any section "
-                        "(only 'qubits' may appear here)",
-                        line_no,
-                        1,
-                    )
-                if n_qubits is not None:
-                    raise ParseError("duplicate 'qubits' declaration", line_no, 1)
-                token = payload.strip()
-                try:
-                    n_qubits = int(token)
-                except ValueError:
-                    raise ParseError(f"bad qubit count {token!r}", line_no, col0 + 1) from None
-                if not 1 <= n_qubits <= MAX_QUBITS:
-                    raise ParseError(
-                        f"qubit count must lie in 1..{MAX_QUBITS}", line_no, col0 + 1
-                    )
-                continue
-
-            if section == "Hi":
-                if key_name == "terms":
-                    if h_i is not None:
-                        raise ParseError("section [Hi] already has an operator", line_no, 1)
-                    h_i = _parse_terms(payload, n_qubits, line_no, col0)
-                elif key_name == "diagonal":
-                    if h_i is not None:
-                        raise ParseError("section [Hi] already has an operator", line_no, 1)
-                    values = _parse_reals(payload, line_no, col0)
-                    if len(values) != 1 << n_qubits:
-                        raise ParseError(
-                            f"[Hi] diagonal has {len(values)} values, expected "
-                            f"2**{n_qubits} = {1 << n_qubits}",
-                            line_no,
-                            col0 + 1,
-                        )
-                    h_i = DiagonalSpec.from_values(n_qubits, values)
-                else:
-                    raise ParseError(
-                        f"unknown key {key_name!r} in [Hi]; expected 'terms', "
-                        "'diagonal' or a bare 'projector-uniform'",
-                        line_no,
-                        1,
-                    )
-            elif section == "Hp":
-                if key_name == "diagonal":
-                    if hp_values is not None or cost_table is not None:
-                        raise ParseError("section [Hp] already has an operator", line_no, 1)
-                    values = _parse_reals(payload, line_no, col0)
-                    if len(values) != 1 << n_qubits:
-                        raise ParseError(
-                            f"[Hp] diagonal has {len(values)} values, expected "
-                            f"2**{n_qubits} = {1 << n_qubits}",
-                            line_no,
-                            col0 + 1,
-                        )
-                    hp_values = values
-                elif key_name == "terms":
-                    raise ParseError(
-                        "[Hp] must be diagonal in the computational basis: only "
-                        "'diagonal = ...' or a 'costfn' table is accepted",
-                        line_no,
-                        1,
-                    )
-                else:
-                    raise ParseError(
-                        f"unknown key {key_name!r} in [Hp]; expected 'diagonal' "
-                        "or a 'costfn' table",
-                        line_no,
-                        1,
-                    )
-            elif section == "schedule":
-                if key_name == "kind":
-                    if schedule_kind is not None:
-                        raise ParseError("duplicate 'kind' in [schedule]", line_no, 1)
-                    schedule_kind = payload.strip()
-                    if schedule_kind not in ("linear", "tabulated"):
-                        raise ParseError(
-                            f"unknown schedule kind {schedule_kind!r}",
-                            line_no,
-                            col0 + 1,
-                        )
-                elif key_name == "sample":
-                    if schedule_kind != "tabulated":
-                        raise ParseError(
-                            "'sample' lines require 'kind = tabulated' first",
-                            line_no,
-                            1,
-                        )
-                    values = _parse_reals(payload, line_no, col0)
-                    if len(values) != 3:
-                        raise ParseError(
-                            "a schedule sample is 't, a, b' (three values)",
-                            line_no,
-                            col0 + 1,
-                        )
-                    if schedule_samples and values[0] <= schedule_samples[-1][0]:
-                        raise ParseError(
-                            "schedule sample times must be strictly increasing",
-                            line_no,
-                            col0 + 1,
-                        )
-                    schedule_samples.append((values[0], values[1], values[2]))
-                else:
-                    raise ParseError(
-                        f"unknown key {key_name!r} in [schedule]", line_no, 1
-                    )
-            continue
-
-        # Bare (key-less) directive lines.
-        if section == "Hi" and line == "projector-uniform":
-            if h_i is not None:
-                raise ParseError("section [Hi] already has an operator", line_no, 1)
-            h_i = ProjectorSpec.uniform(n_qubits)
-            continue
-        if section == "Hp" and line == "costfn":
-            if hp_values is not None or cost_table is not None:
-                raise ParseError("section [Hp] already has an operator", line_no, 1)
-            cost_table = {}
-            continue
-        if section == "Hp" and cost_table is not None:
+        keyed = "=" in line
+        key, _, payload = raw.partition("=")
+        word = key.strip()
+        col0 = len(key) + 1  # 0-based offset of payload within raw
+        slot = declared.get(section)
+        if keyed and section is None:
+            n_qubits = _parse_qubits(word, payload, n_qubits, line_no, col0)
+        elif (section, word, keyed) in _DECLARING:
+            if section in declared:
+                raise ParseError(_SECTIONS[section][1], line_no, 1)
+            if word == "terms":
+                slot = _parse_terms(payload, n_qubits, line_no, col0)
+            elif word == "diagonal":
+                slot = _parse_diagonal(section, payload, n_qubits, line_no, col0)
+            elif word == "projector-uniform":
+                slot = ProjectorSpec.uniform(n_qubits)
+            elif word == "costfn":
+                slot = {}
+            elif payload.strip() == "linear":  # the form left is [schedule] kind
+                slot = LINEAR
+            elif payload.strip() == "tabulated":
+                slot = []
+            else:
+                raise ParseError(f"unknown schedule kind {payload.strip()!r}", line_no, col0 + 1)
+            declared[section] = slot
+        elif keyed and section == "schedule" and word == "sample":
+            if not isinstance(slot, list):
+                raise ParseError("'sample' lines require 'kind = tabulated' first", line_no, 1)
+            values = _parse_reals(payload, line_no, col0)
+            if len(values) != 3:
+                raise ParseError("a schedule sample is 't, a, b' (three values)",
+                                 line_no, col0 + 1)
+            if slot and values[0] <= slot[-1][0]:
+                raise ParseError("schedule sample times must be strictly increasing",
+                                 line_no, col0 + 1)
+            slot.append(tuple(values))
+        elif keyed and section == "Hp" and word == "terms":
+            raise ParseError("[Hp] must be diagonal in the computational basis: only "
+                             "'diagonal = ...' or a 'costfn' table is accepted", line_no, 1)
+        elif keyed:
+            raise ParseError(f"unknown key {word!r} in [{section}]" + _SECTIONS[section][0],
+                             line_no, 1)
+        elif isinstance(slot, dict):  # a row of the [Hp] costfn table
             fields = line.split()
             if len(fields) != 2:
-                raise ParseError(
-                    f"cost table entry {line!r} must be '<bitstring> <value>'",
-                    line_no,
-                    1,
-                )
-            bits, value_token = fields
+                raise ParseError(f"cost table entry {line!r} must be '<bitstring> <value>'",
+                                 line_no, 1)
+            bits, token = fields
             if set(bits) - {"0", "1"} or len(bits) != n_qubits:
-                raise ParseError(
-                    f"bitstring {bits!r} must be {n_qubits} characters of 0/1",
-                    line_no,
-                    1,
-                )
-            if bits in cost_seen:
-                raise ParseError(
-                    f"duplicate cost entry for {bits!r} (first at line "
-                    f"{cost_seen[bits]})",
-                    line_no,
-                    1,
-                )
-            cost_seen[bits] = line_no
-            cost_table[int(bits, 2)] = _parse_float(
-                value_token, "cost value", line_no, len(bits) + 2
-            )
-            continue
-        raise ParseError(f"unrecognized line {line!r}", line_no, 1)
+                raise ParseError(f"bitstring {bits!r} must be {n_qubits} characters of 0/1",
+                                 line_no, 1)
+            if bits in slot:
+                raise ParseError(f"duplicate cost entry for {bits!r} (first at line "
+                                 f"{slot[bits][0]})", line_no, 1)
+            column = len(raw.rstrip()) - len(token) + 1
+            slot[bits] = line_no, _parse_float(token, "cost value", line_no, column)
+        else:
+            raise ParseError(f"unrecognized line {line!r}", line_no, 1)
 
     if n_qubits is None:
         raise ParseError("missing 'qubits = <n>' declaration")
-    if "Hi" not in section_lines or h_i is None:
-        raise ParseError("missing [Hi] section with an operator")
-    if "Hp" not in section_lines:
-        raise ParseError("missing [Hp] section")
-    if cost_table is not None:
-        hp_values = [0.0] * (1 << n_qubits)
-        for index, value in cost_table.items():
-            hp_values[index] = value
-    if hp_values is None:
-        raise ParseError("section [Hp] declares no operator")
+    for name, (_, _, empty, absent) in _SECTIONS.items():
+        if name in headers and name not in declared:
+            raise ParseError(empty, headers[name], 1)
+        if name not in headers and absent:
+            raise ParseError(absent)
 
-    if "schedule" in section_lines:
-        if schedule_kind is None:
-            raise ParseError(
-                "section [schedule] needs a 'kind' line", section_lines["schedule"], 1
-            )
-        if schedule_kind == "linear":
-            schedule = LINEAR
-        else:
-            try:
-                schedule = ScheduleSpec("tabulated", tuple(schedule_samples))
-            except ValueError as exc:
-                raise ParseError(str(exc), section_lines["schedule"], 1) from None
-    else:
-        schedule = LINEAR
-
+    h_p = declared["Hp"]
+    if isinstance(h_p, dict):
+        values = [0.0] * (1 << n_qubits)
+        for bits, (_, value) in h_p.items():
+            values[int(bits, 2)] = value
+        h_p = DiagonalSpec.from_values(n_qubits, values)
+    schedule = declared.get("schedule", LINEAR)
+    if isinstance(schedule, list):
+        try:
+            schedule = ScheduleSpec("tabulated", tuple(schedule))
+        except ValueError as exc:
+            raise ParseError(str(exc), headers["schedule"], 1) from None
     try:
-        return InstanceSpec(
-            n_qubits=n_qubits,
-            h_i=h_i,
-            h_p=DiagonalSpec.from_values(n_qubits, hp_values),
-            schedule=schedule,
-        )
+        return InstanceSpec(n_qubits, declared["Hi"], h_p, schedule)
     except ValueError as exc:
         raise ParseError(str(exc)) from None
 

@@ -388,15 +388,6 @@ def sweep_pair(
     )
 
 
-def gap_sweep(
-    instance: InstanceSpec,
-    grid_points: int = 1001,
-    m_levels: int | None = None,
-) -> GapProfile:
-    """Sweep the plain convex interpolation ``(1-s) h_i + s h_p``."""
-    return schedule_sweep(instance, LINEAR, grid_points, m_levels)
-
-
 def schedule_sweep(
     instance: InstanceSpec,
     schedule: ScheduleSpec | None = None,

@@ -31,9 +31,9 @@ from gapcert.paulialg import (
     to_matrix,
 )
 from gapcert.perron import power_limit_projector, verify_proof_chain_pair, wielandt_bound
-from gapcert.specfile import InstanceSpec, ScheduleSpec, parse_instance
+from gapcert.specfile import LINEAR, InstanceSpec, ScheduleSpec, parse_instance
 from gapcert.spectral import ground_state
-from gapcert.sweep import gap_sweep, schedule_sweep, sweep_pair
+from gapcert.sweep import schedule_sweep, sweep_pair
 
 COUNTEREXAMPLE_TEXT = """\
 qubits = 2
@@ -153,7 +153,7 @@ def test_criterion_01_counterexample_reproduction():
         assert np.max(np.abs(numeric - reference)) < 1e-10
         assert not report.condition2.passed
         assert any(v.value.real > 0 for v in report.condition2.violations)
-        profile = gap_sweep(instance, grid_points=1001)
+        profile = schedule_sweep(instance, LINEAR, grid_points=1001)
         assert len(profile.crossings) >= 1
         worst = min(profile.crossings, key=lambda c: c.gap_star)
         assert 0.0 < worst.s_star < 1.0
@@ -277,7 +277,7 @@ def test_criterion_07_search_gap_closed_form():
         instance = InstanceSpec(
             1, ProjectorSpec.uniform(1), DiagonalSpec.from_values(1, [0.0, 1.0])
         )
-        profile = gap_sweep(instance, grid_points=1001)
+        profile = schedule_sweep(instance, LINEAR, grid_points=1001)
         s = profile.grid
         closed_form = np.sqrt(s**2 + (1.0 - s) ** 2)
         assert np.max(np.abs(profile.gap1 - closed_form)) < 1e-9
@@ -400,7 +400,7 @@ def test_criterion_10_dense_scale_check():
         instance = parse_instance(text)
         report = certify(instance)
         assert report.is_certified
-        profile = gap_sweep(instance, grid_points=201, m_levels=4)
+        profile = schedule_sweep(instance, LINEAR, grid_points=201, m_levels=4)
         assert profile.levels.shape == (201, 4)
         assert not profile.crossings
         assert profile.min_gap.value > 0.0

@@ -18,9 +18,8 @@ from gapcert.cases import (
     default_h_p,
     ground_state_reference,
     weight_blocks,
-    weight_operator,
 )
-from gapcert.paulialg import DiagonalSpec, ProjectorSpec, to_matrix
+from gapcert.paulialg import DiagonalSpec, HermitianMatrix, ProjectorSpec, to_matrix
 from gapcert.specfile import parse_instance, serialize_instance
 from gapcert.spectral import ground_state
 
@@ -207,8 +206,10 @@ def test_reference_requires_block_index_for_hopping_families():
 # weight blocks
 
 
-def test_weight_operator_frozen():
-    assert np.array_equal(weight_operator(2), [0.0, 1.0, 1.0, 2.0])
+def test_weight_blocks_group_basis_states_by_hamming_weight():
+    # the weight counter's diagonal at n = 2 is 0, 1, 1, 2
+    blocks = weight_blocks(HermitianMatrix(np.diag([0.0, 1.0, 2.0, 3.0])), 2)
+    assert [(b.k, b.basis_indices) for b in blocks] == [(0, (0,)), (1, (1, 2)), (2, (3,))]
 
 
 def test_xy_blocks_structure_and_frozen_matrices():

@@ -36,9 +36,9 @@ from gapcert.paulialg import (
     interpolate,
 )
 from gapcert.perron import default_chain_grid, verify_proof_chain_pair
-from gapcert.specfile import parse_instance
+from gapcert.specfile import LINEAR, parse_instance
 from gapcert.spectral import DEGENERACY_RTOL, _phase_factors, ground_state
-from gapcert.sweep import gap_sweep, sweep_pair
+from gapcert.sweep import schedule_sweep, sweep_pair
 from test_acceptance import COUNTEREXAMPLE_TEXT, certified_corpus
 
 
@@ -314,7 +314,7 @@ def test_certified_instances_show_no_crossing():
         instance = build_case(p)
         report = certify(instance)
         assert report.is_certified, p.family
-        profile = gap_sweep(instance, grid_points=501)
+        profile = schedule_sweep(instance, LINEAR, grid_points=501)
         assert not profile.crossings
         assert profile.min_gap.value > profile.crossing_tolerance
 

@@ -353,3 +353,111 @@ def test_matrix_helpers_agree_with_builders():
     assert spec.h_i_matrix() is spec.h_i_matrix()
     assert not h_i.flags.writeable
     assert spec == parse_instance(REFERENCE_TEXT)
+
+
+# ---------------------------------------------------------------------------
+# every ParseError the parser raises, pinned: message, line and column
+
+_Q = "qubits = 2\n"
+_HI = "[Hi]\nterms = -1.0 XI\n"
+_HP = "[Hp]\ndiagonal = 0, 1, 2, 3\n"
+_PAIR = _Q + _HI + _HP
+_HI_HINT = "; expected 'terms', 'diagonal' or a bare 'projector-uniform'"
+_HP_HINT = "; expected 'diagonal' or a 'costfn' table"
+
+
+@pytest.mark.parametrize(
+    "text, message, line, column",
+    [
+        # header lines
+        (_Q + "  [Hx]\n", "unknown section [Hx]; expected one of [Hi], [Hp], [schedule]", 2, 3),
+        (_Q + _HI + "[Hi]\n", "duplicate section [Hi]", 4, 1),
+        ("[Hi]\n", "'qubits = <n>' must appear before any section", 1, 1),
+        # the qubits line
+        ("n = 2\n", "unexpected key 'n' before any section (only 'qubits' may appear here)", 1, 1),
+        (_Q + "qubits = 3\n", "duplicate 'qubits' declaration", 2, 1),
+        ("qubits = x\n", "bad qubit count 'x'", 1, 9),
+        ("qubits = 0\n", f"qubit count must lie in 1..{MAX_QUBITS}", 1, 9),
+        (f"qubits  =  {MAX_QUBITS + 1}\n", f"qubit count must lie in 1..{MAX_QUBITS}", 1, 10),
+        # [Hi]: one operator, of three forms
+        (_Q + _HI + "terms = 1 ZZ\n", "section [Hi] already has an operator", 4, 1),
+        (_Q + _HI + "diagonal = 0, 1, 2, 3\n", "section [Hi] already has an operator", 4, 1),
+        (_Q + "[Hi]\ndiagonal = 0, 1, 2, 3\nprojector-uniform\n", "section [Hi] already has an operator", 4, 1),
+        (_Q + "[Hi]\nprojector-uniform\nterms = oops\n", "section [Hi] already has an operator", 4, 1),
+        (_Q + "[Hi]\ndiagonal = 1, 2\n", "[Hi] diagonal has 2 values, expected 2**2 = 4", 3, 11),
+        (_Q + "[Hi]\nterm = 1 XI\n", "unknown key 'term'" + " in [Hi]" + _HI_HINT, 3, 1),
+        (_Q + "[Hi]\nprojector-uniform = 1\n", "unknown key 'projector-uniform' in [Hi]" + _HI_HINT, 3, 1),
+        # Pauli terms
+        (_Q + "[Hi]\nterms = -1.0 XI, , 1 IX\n", "empty term in terms list", 3, 18),
+        (_Q + "[Hi]\nterms = -1.0\n", "term '-1.0' must be '<coefficient> <string>'", 3, 9),
+        (_Q + "[Hi]\nterms = x XI\n", "bad coefficient 'x'", 3, 9),
+        (_Q + "[Hi]\nterms = inf XI\n", "coefficient must be finite, got 'inf'", 3, 9),
+        (_Q + "[Hi]\nterms = 1.0 QI\n", "term string 'QI' contains invalid axes ['Q']", 3, 9),
+        (_Q + "[Hi]\nterms = 1.0 XI,  2 X\n", "term string 'X' covers 1 qubits, expected 2", 3, 18),
+        # real lists
+        (_Q + "[Hi]\ndiagonal = 0, 1,, 3\n", "empty value in list", 3, 17),
+        (_Q + "[Hi]\ndiagonal = 0, one, 2, 3\n", "bad value 'one'", 3, 15),
+        (_Q + "[Hi]\ndiagonal = 0, 1, nan, 3\n", "value must be finite, got 'nan'", 3, 18),
+        # [Hp]: one diagonal operator, of two forms
+        (_PAIR + "diagonal = 0, 1, 2, 3\n", "section [Hp] already has an operator", 6, 1),
+        (_PAIR + "costfn\n", "section [Hp] already has an operator", 6, 1),
+        (_Q + _HI + "[Hp]\ncostfn\n00 1\ndiagonal = 0, 1, 2, 3\n", "section [Hp] already has an operator", 7, 1),
+        (_Q + _HI + "[Hp]\ndiagonal = 0, 1, 2\n", "[Hp] diagonal has 3 values, expected 2**2 = 4", 5, 11),
+        (_Q + _HI + "[Hp]\nterms = 1 ZZ\n", "[Hp] must be diagonal in the computational basis: only "
+         "'diagonal = ...' or a 'costfn' table is accepted", 5, 1),
+        (_Q + _HI + "[Hp]\ncost = 1\n", "unknown key 'cost' in [Hp]" + _HP_HINT, 5, 1),
+        # cost table rows
+        (_Q + _HI + "[Hp]\ncostfn\n01\n", "cost table entry '01' must be '<bitstring> <value>'", 6, 1),
+        (_Q + _HI + "[Hp]\ncostfn\n02 1.0\n", "bitstring '02' must be 2 characters of 0/1", 6, 1),
+        (_Q + _HI + "[Hp]\ncostfn\n011 1.0\n", "bitstring '011' must be 2 characters of 0/1", 6, 1),
+        (_Q + _HI + "[Hp]\ncostfn\n01 1\n\n01 2\n", "duplicate cost entry for '01' (first at line 6)", 8, 1),
+        (_Q + _HI + "[Hp]\ncostfn\n01 x\n", "bad cost value 'x'", 6, 4),
+        (_Q + _HI + "[Hp]\ncostfn\n01 nan\n", "cost value must be finite, got 'nan'", 6, 4),
+        # the value's column is read from the line, indent and spacing included
+        ("qubits = 1\n[Hi]\nterms = -1 X\n[Hp]\ncostfn\n   1    nan\n", "cost value must be finite, got 'nan'", 6, 9),
+        # [schedule]: one kind, then samples
+        (_PAIR + "[schedule]\nkind = linear\nkind = linear\n", "duplicate 'kind' in [schedule]", 8, 1),
+        (_PAIR + "[schedule]\nkind =  cubic\n", "unknown schedule kind 'cubic'", 7, 7),
+        (_PAIR + "[schedule]\nsample = 0, 1, 0\n", "'sample' lines require 'kind = tabulated' first", 7, 1),
+        (_PAIR + "[schedule]\nkind = linear\nsample = 0, 1, 0\n", "'sample' lines require 'kind = tabulated' first", 8, 1),
+        (_PAIR + "[schedule]\nkind = tabulated\nsample = 0, 1\n", "a schedule sample is 't, a, b' (three values)", 8, 9),
+        (_PAIR + "[schedule]\nkind = tabulated\nsample = 0.5, 1, 0\nsample = 0.5, 0, 1\n",
+         "schedule sample times must be strictly increasing", 9, 9),
+        (_PAIR + "[schedule]\nkind = tabulated\nsamples = 0, 1, 0\n", "unknown key 'samples' in [schedule]", 8, 1),
+        # lines of no known form
+        ("terms\n", "unrecognized line 'terms'", 1, 1),
+        (_Q + "[Hi]\nterms\n", "unrecognized line 'terms'", 3, 1),
+        (_PAIR + "01 1.0\n", "unrecognized line '01 1.0'", 6, 1),
+        (_PAIR + "[schedule]\nlinear\n", "unrecognized line 'linear'", 7, 1),
+        # at the end of the file
+        ("", "missing 'qubits = <n>' declaration", None, None),
+        ("qubits = 1\n", "missing [Hi] section with an operator", None, None),
+        (_Q + "\n[Hi]\n" + _HP, "section [Hi] declares no operator", 3, 1),
+        (_Q + _HI, "missing [Hp] section", None, None),
+        (_Q + _HI + "[Hp]\n# nothing here\n", "section [Hp] declares no operator", 4, 1),
+        (_PAIR + "[schedule]\n", "section [schedule] needs a 'kind' line", 6, 1),
+        (_PAIR + "[schedule]\nkind = tabulated\nsample = 0, 1, 0\n",
+         "a tabulated schedule needs at least two samples", 6, 1),
+        (_PAIR + "[schedule]\nkind = tabulated\nsample = 0, 1, 0\nsample = 0.5, 1.1, 0.5\nsample = 1, 0, 1\n",
+         "coefficient a must decrease monotonically from 1 to 0", 6, 1),
+        ("qubits = 1\n[Hi]\nterms = 1e100 X\n[Hp]\ndiagonal = 0, 1e100\n",
+         "h_i and h_p have norm bound 2.000e+100, above 1e+100: products of their "
+         "entries would overflow float64; rescale the instance", None, None),
+        # the first offending line in file order is the one reported
+        ("[Hx]\n", "unknown section [Hx]; expected one of [Hi], [Hp], [schedule]", 1, 1),
+        ("qubits = x\n[Hx]\n", "bad qubit count 'x'", 1, 9),
+        (_Q + "[Hi]\nterm = 1 XI\n[Hi]\n", "unknown key 'term' in [Hi]" + _HI_HINT, 3, 1),
+        (_Q + "[Hi]\n[Hp]\ncostfn\n0 1\n", "bitstring '0' must be 2 characters of 0/1", 5, 1),
+        (_Q + "[Hi]\n[Hp]\n[schedule]\n", "section [Hi] declares no operator", 2, 1),
+        (_Q + _HI + "[Hp]\n[schedule]\n", "section [Hp] declares no operator", 4, 1),
+        (_Q + "[Hi]\nterms = x YY, 1 QQ\n", "bad coefficient 'x'", 3, 9),
+        (_Q + "[Hi]\ndiagonal = 0, x\n", "bad value 'x'", 3, 15),
+        (_PAIR + "[schedule]\nkind = cubic\nkind = linear\n", "unknown schedule kind 'cubic'", 7, 7),
+        (_PAIR + "[schedule]\nkind = tabulated\nsample = 0, 1\nsample = 0, 1, 0\n",
+         "a schedule sample is 't, a, b' (three values)", 8, 9),
+    ],
+)
+def test_every_parse_error_is_pinned(text, message, line, column):
+    with pytest.raises(ParseError) as err:
+        parse_instance(text)
+    assert (err.value.message, err.value.line, err.value.column) == (message, line, column)

@@ -37,7 +37,6 @@ from gapcert.sweep import (
     estimate_runtime,
     export_profile,
     export_svg,
-    gap_sweep,
     schedule_sweep,
     summarize_profile,
     sweep_pair,
@@ -67,7 +66,7 @@ def search_gap(s):
 
 
 def test_search_instance_matches_closed_form_pointwise():
-    profile = gap_sweep(SEARCH_INSTANCE, grid_points=501)
+    profile = schedule_sweep(SEARCH_INSTANCE, LINEAR, grid_points=501)
     assert np.max(np.abs(profile.gap1 - search_gap(profile.grid))) < 1e-9
     assert profile.levels.shape == (501, 2)
 
@@ -75,7 +74,7 @@ def test_search_instance_matches_closed_form_pointwise():
 def test_search_instance_minimum_refined_off_grid():
     # the true minimizer s = 1/2 is not a point of the half-open grid, so
     # the reported minimum must come from refinement
-    profile = gap_sweep(SEARCH_INSTANCE, grid_points=501)
+    profile = schedule_sweep(SEARCH_INSTANCE, LINEAR, grid_points=501)
     assert abs(profile.min_gap.value - 1.0 / math.sqrt(2.0)) < 1e-12
     assert abs(profile.min_gap.s - 0.5) < 1e-6
     assert not np.any(profile.grid == profile.min_gap.s)
@@ -90,7 +89,7 @@ def test_constant_diagonal_interpolation():
         DiagonalSpec.from_values(2, values),
         DiagonalSpec.from_values(2, values),
     )
-    profile = gap_sweep(instance, grid_points=101)
+    profile = schedule_sweep(instance, LINEAR, grid_points=101)
     assert np.max(np.abs(profile.gap1 - 1.0)) < 1e-12
     assert profile.min_gap.value == pytest.approx(1.0)
     assert not profile.crossings
@@ -101,7 +100,7 @@ def test_constant_diagonal_interpolation():
 
 
 def test_mixed_driver_crossing_found_and_bracketed():
-    profile = gap_sweep(MIXED_DRIVER, grid_points=501)
+    profile = schedule_sweep(MIXED_DRIVER, LINEAR, grid_points=501)
     assert len(profile.crossings) == 1
     crossing = profile.crossings[0]
     assert abs(crossing.s_star - 0.5) < 1e-6
@@ -115,7 +114,7 @@ def test_mixed_driver_crossing_found_and_bracketed():
 def test_crossing_survives_unaligned_grids():
     # neither 249 nor 500 points puts a node at s = 1/2
     for points in (249, 500):
-        profile = gap_sweep(MIXED_DRIVER, grid_points=points)
+        profile = schedule_sweep(MIXED_DRIVER, LINEAR, grid_points=points)
         assert len(profile.crossings) == 1, points
         assert abs(profile.crossings[0].s_star - 0.5) < 1e-6
 
@@ -125,7 +124,7 @@ def test_crossing_survives_unaligned_grids():
 
 
 def test_grid_is_half_open():
-    profile = gap_sweep(SEARCH_INSTANCE, grid_points=100)
+    profile = schedule_sweep(SEARCH_INSTANCE, LINEAR, grid_points=100)
     assert profile.grid[0] == 0.0
     assert profile.grid[-1] == pytest.approx(1.0 - 1.0 / 100)
 
@@ -157,7 +156,7 @@ def test_levels_move_no_faster_than_the_operator():
 
 
 def test_default_level_count_clamps_to_dimension():
-    small = gap_sweep(SEARCH_INSTANCE, grid_points=11)
+    small = schedule_sweep(SEARCH_INSTANCE, LINEAR, grid_points=11)
     assert small.levels.shape[1] == 2
     rng = np.random.default_rng(1)
     h = rng.standard_normal((16, 16))
@@ -171,11 +170,11 @@ def test_default_level_count_clamps_to_dimension():
 
 def test_sweep_validation_errors():
     with pytest.raises(ValueError, match="two points"):
-        gap_sweep(SEARCH_INSTANCE, grid_points=1)
+        schedule_sweep(SEARCH_INSTANCE, LINEAR, grid_points=1)
     with pytest.raises(ValueError, match=f"at most {MAX_GRID_POINTS} points"):
-        gap_sweep(SEARCH_INSTANCE, grid_points=MAX_GRID_POINTS + 1)
+        schedule_sweep(SEARCH_INSTANCE, LINEAR, grid_points=MAX_GRID_POINTS + 1)
     with pytest.raises(ValueError, match="m_levels"):
-        gap_sweep(SEARCH_INSTANCE, m_levels=3)  # d = 2
+        schedule_sweep(SEARCH_INSTANCE, LINEAR, m_levels=3)  # d = 2
     h_i = HermitianMatrix(np.eye(2, dtype=complex))
     h_p = HermitianMatrix(np.eye(4, dtype=complex))
     with pytest.raises(ValueError, match="dimension mismatch"):
@@ -183,7 +182,7 @@ def test_sweep_validation_errors():
 
 
 def test_profile_arrays_frozen_and_couplings_shape_checked():
-    profile = gap_sweep(SEARCH_INSTANCE, grid_points=21)
+    profile = schedule_sweep(SEARCH_INSTANCE, LINEAR, grid_points=21)
     assert profile.couplings.shape == (21, 1)
     for array in (profile.grid, profile.levels, profile.gap1, profile.couplings):
         assert not array.flags.writeable
@@ -379,7 +378,7 @@ def test_a_long_sweep_holds_no_stack_of_the_whole_grid():
 def test_counterexample_crossing_located_to_refine_xatol():
     # the counterexample's levels cross exactly at s = 1/2, halfway between
     # two points of the 1001-point grid
-    profile = gap_sweep(parse_instance(COUNTEREXAMPLE_TEXT), grid_points=1001)
+    profile = schedule_sweep(parse_instance(COUNTEREXAMPLE_TEXT), LINEAR, grid_points=1001)
     (crossing,) = profile.crossings
     assert abs(crossing.s_star - 0.5) <= 1e-10
     assert crossing.gap_star <= 1e-12 * (1.0 + profile.spectral_width)
@@ -452,7 +451,7 @@ def hidden_dip_instance():
 
 def test_refinement_finds_a_dip_hidden_inside_the_last_step():
     instance = hidden_dip_instance()
-    profile = gap_sweep(instance, grid_points=17)
+    profile = schedule_sweep(instance, LINEAR, grid_points=17)
     gap1, grid = profile.gap1, profile.grid
     h_i = instance.h_i_matrix().entries
     hp = np.array(instance.h_p.values)
@@ -499,7 +498,7 @@ def refinements(monkeypatch):
 def test_the_counterexample_crossing_takes_at_most_8_solves(points, monkeypatch):
     # the gap has a kink at s = 1/2; (gap**2)' / 2 has a simple root there
     log = refinements(monkeypatch)
-    profile = gap_sweep(parse_instance(COUNTEREXAMPLE_TEXT), grid_points=points)
+    profile = schedule_sweep(parse_instance(COUNTEREXAMPLE_TEXT), LINEAR, grid_points=points)
     (crossing,) = profile.crossings
     (result,) = [r for bracket, r in log if bracket[0] < 0.5 < bracket[-1]]
     assert result.nfev <= 8
@@ -509,7 +508,7 @@ def test_the_counterexample_crossing_takes_at_most_8_solves(points, monkeypatch)
 def test_hopping_crossings_are_crossings_of_two_weight_blocks(monkeypatch):
     log = refinements(monkeypatch)
     instance = build_case(CaseParams("xy_hopping", 4))
-    profile = gap_sweep(instance, grid_points=101)
+    profile = schedule_sweep(instance, LINEAR, grid_points=101)
     hp = np.array(instance.h_p.values)
     blocks = [
         (block.block_matrix.entries, hp[list(block.basis_indices)])
@@ -551,7 +550,7 @@ def test_a_minimum_at_a_schedule_sample_is_that_sample(monkeypatch):
 def test_a_zero_gap_end_makes_no_search_solve(monkeypatch):
     # the hopping ground level is degenerate at s = 0, where the gap is 0
     log = refinements(monkeypatch)
-    profile = gap_sweep(build_case(CaseParams("xy_hopping", 3)), grid_points=101)
+    profile = schedule_sweep(build_case(CaseParams("xy_hopping", 3)), LINEAR, grid_points=101)
     assert profile.gap1[0] == 0.0
     (result,) = [r for bracket, r in log if bracket[0] == 0.0]
     assert result.nfev == 0 and (result.x, result.fun) == (0.0, 0.0)
@@ -704,7 +703,7 @@ def test_estimate_runtime_zero_for_commuting_pair():
         DiagonalSpec.from_values(2, values),
         DiagonalSpec.from_values(2, [0.0, 2.0, 5.0, 9.0]),
     )
-    profile = gap_sweep(instance, grid_points=51)
+    profile = schedule_sweep(instance, LINEAR, grid_points=51)
     estimate = estimate_runtime(profile, target_epsilon=0.05)
     assert estimate.worst_ratio == 0.0
     assert estimate.suggested_T == 0.0
@@ -712,7 +711,7 @@ def test_estimate_runtime_zero_for_commuting_pair():
 
 
 def test_estimate_runtime_search_instance_scale():
-    profile = gap_sweep(SEARCH_INSTANCE, grid_points=1001)
+    profile = schedule_sweep(SEARCH_INSTANCE, LINEAR, grid_points=1001)
     estimate = estimate_runtime(profile, target_epsilon=0.1)
     # the hardest point is the avoided crossing: ratio ~ sqrt(2) there
     assert abs(estimate.worst_ratio - math.sqrt(2.0)) < 1e-3
@@ -722,10 +721,10 @@ def test_estimate_runtime_search_instance_scale():
 
 
 def test_estimate_runtime_rejects_bad_inputs():
-    crossing_profile = gap_sweep(MIXED_DRIVER, grid_points=201)
+    crossing_profile = schedule_sweep(MIXED_DRIVER, LINEAR, grid_points=201)
     with pytest.raises(CrossingPresent):
         estimate_runtime(crossing_profile)
-    ok = gap_sweep(SEARCH_INSTANCE, grid_points=21)
+    ok = schedule_sweep(SEARCH_INSTANCE, LINEAR, grid_points=21)
     for eps in (0.0, math.nan, math.inf):
         with pytest.raises(ValueError, match="positive and finite"):
             estimate_runtime(ok, target_epsilon=eps)
@@ -786,7 +785,7 @@ def test_estimate_runtime_independent_of_basis_inside_a_degenerate_level():
     # is |(1 - |u><u|) h_p u| / 1**2, the spread of h_p seen from u
     hp = np.array([0.0, 4.0, 5.0, 6.0])
     instance = InstanceSpec(2, ProjectorSpec.uniform(2), DiagonalSpec.from_values(2, hp))
-    swept = gap_sweep(instance, grid_points=21)
+    swept = schedule_sweep(instance, LINEAR, grid_points=21)
     assert np.ptp(swept.levels[0, 1:]) < 1e-12
 
     def at_s0(couplings):
@@ -838,8 +837,9 @@ def test_estimate_runtime_matches_its_looped_grouping(m_levels):
     # couplings, a tabulated schedule, and a profile whose couplings vanish
     hp = np.array([0.0, 4.0, 5.0, 6.0, 1.0, 3.0, 2.0, 7.0])
     profiles = [
-        gap_sweep(
+        schedule_sweep(
             InstanceSpec(3, ProjectorSpec.uniform(3), DiagonalSpec.from_values(3, hp)),
+            LINEAR,
             grid_points=41,
             m_levels=m_levels,
         ),
@@ -872,7 +872,7 @@ def test_estimate_runtime_matches_its_looped_grouping(m_levels):
 
 
 def test_csv_schema_and_exact_round_trip():
-    profile = gap_sweep(SEARCH_INSTANCE, grid_points=21)
+    profile = schedule_sweep(SEARCH_INSTANCE, LINEAR, grid_points=21)
     text = export_profile(profile)
     lines = text.strip().splitlines()
     assert lines[0] == "s,eps0,eps1,gap1"
@@ -912,14 +912,14 @@ def test_csv_export_holds_a_block_of_rows_not_the_table():
 
 
 def test_csv_and_svg_deterministic():
-    a = gap_sweep(MIXED_DRIVER, grid_points=101)
-    b = gap_sweep(MIXED_DRIVER, grid_points=101)
+    a = schedule_sweep(MIXED_DRIVER, LINEAR, grid_points=101)
+    b = schedule_sweep(MIXED_DRIVER, LINEAR, grid_points=101)
     assert export_profile(a) == export_profile(b)
     assert export_svg(a) == export_svg(b)
 
 
 def test_svg_contains_level_curves_and_annotation():
-    profile = gap_sweep(MIXED_DRIVER, grid_points=51)
+    profile = schedule_sweep(MIXED_DRIVER, LINEAR, grid_points=51)
     svg = export_svg(profile)
     assert svg.startswith("<svg") or svg.startswith("<")
     assert svg.count("<polyline") == profile.levels.shape[1]
